@@ -54,7 +54,6 @@ struct Args {
     capture: Option<String>,
     metrics_out: Option<String>,
     threads: usize,
-    wave_threads: usize,
 }
 
 impl Default for Args {
@@ -88,7 +87,6 @@ impl Default for Args {
             capture: None,
             metrics_out: None,
             threads: wsn_sim::parallel::thread_count(),
-            wave_threads: 1,
         }
     }
 }
@@ -125,6 +123,28 @@ fn probability(raw: String, flag: &str) -> Result<f64, String> {
         return Err(format!("{flag}: {p} is not a probability in [0, 1]"));
     }
     Ok(p)
+}
+
+/// Prints a usage error and exits 2.
+fn usage_error(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    print_usage();
+    std::process::exit(2);
+}
+
+/// The value after the flag at `argv[*i]` (advancing `i` onto it), parsed
+/// as `T`. A missing or unparsable value is a usage error.
+fn flag_value<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    let flag = &argv[*i];
+    *i += 1;
+    let Some(raw) = argv.get(*i) else {
+        usage_error(format!("{flag} needs a value"))
+    };
+    raw.parse()
+        .unwrap_or_else(|e| usage_error(format!("{flag}: {e}")))
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -225,12 +245,6 @@ fn parse_args() -> Result<Args, String> {
                     .map(|n| n.max(1))
                     .map_err(|e| format!("--threads: {e}"))?
             }
-            "--wave-threads" => {
-                args.wave_threads = value(&argv, &mut i, "--wave-threads")?
-                    .parse::<usize>()
-                    .map(|n| n.max(1))
-                    .map_err(|e| format!("--wave-threads: {e}"))?
-            }
             "--help" | "-h" => {
                 print_usage();
                 std::process::exit(0);
@@ -254,15 +268,13 @@ fn print_usage() {
                 [--loss P] [--retries R] [--recovery PASSES] [--node-failures P]
                 [--mobility] [--churn] [--drift] [--duty]
                 [--audit] [--seed S] [--csv FILE] [--json FILE] [--threads N]
-                [--wave-threads W]
                 [--events FILE] [--capture FILE] [--metrics-out FILE]
        simulate diff A.jsonl B.jsonl
        simulate fuzz [--scenarios N] [--seed S] [--threads N]
                      [--corpus FILE] [--repro LINE]
-       simulate scale [--nodes N] [--rounds R] [--wave-threads W]
-                      [--seed S] [--budget-secs T]
+       simulate scale [--nodes N] [--rounds R] [--seed S] [--budget-secs T]
        simulate serve [--queries Q] [--nodes N] [--rounds R] [--phi F]
-                      [--seed S] [--shared] [--wave-threads W] [--audit]
+                      [--seed S] [--shared] [--audit]
                       [--admit ROUND:PHI_MILLI] [--retire ROUND:SLOT]
                       [--digest] [--json FILE]
                       [--monitor] [--budget-mj X] [--health-json FILE]
@@ -305,8 +317,10 @@ queries (mixed protocols, φ including both boundaries, mixed epochs) over
 one shared network, compiled into per-round traffic plans with execution
 dedup and — under --shared — piggybacked frame packing. --admit/--retire
 change the query set mid-run; --audit prints the per-lane charge table;
---digest prints the byte-exact parity digest (identical at any
---wave-threads). Exit 0 clean, 1 on any audit discrepancy.
+--digest prints the byte-exact parity digest. Events must take effect:
+one at or past the last round, or retiring a slot that holds no query
+at its round, is rejected with exit 2. Exit 0 clean, 1 on any audit
+discrepancy.
 
 Serve monitoring: any of --monitor/--budget-mj/--health-json/
 --metrics-out/--status-every attaches the observability monitor (never
@@ -320,12 +334,14 @@ compares two BENCH_results.json files and exits 1 when any shared cell's
 median slowed past the tolerance band (default 0.5 = 50%).
 
 `simulate scale` is the engine-throughput smoke gate: it runs R full HBC
-rounds on an N-node constant-density world (the `scale` bench workload)
-with W within-wave worker threads, prints the wall clock and per-round
-cost, and exits 1 when the run exceeds the --budget-secs wall-clock
-budget (default: no budget). --threads parallelizes across runs;
---wave-threads parallelizes the waves *inside* one run — results are
-bit-identical at any setting of either."
+rounds on an N-node constant-density world (the `scale` bench workload),
+prints the wall clock and per-round cost, and exits 1 when the run
+exceeds the --budget-secs wall-clock budget (default: no budget).
+
+Out-of-domain values (--nodes 0, --phi outside [0, 1], --rho <= 0,
+--period 0, --noise outside [0, 100], --runs 0) are rejected with a
+one-line error and exit 2 before any run starts. --threads parallelizes
+across runs; results are bit-identical at any setting."
     );
 }
 
@@ -371,11 +387,6 @@ fn run_diff(paths: &[String]) -> ! {
 /// and fail when any shared cell's median slowed past the tolerance band
 /// (default 50%). Exit 0 clean, 1 on regression, 2 on bad input.
 fn run_bench_diff(argv: &[String]) -> ! {
-    let fail = |msg: String| -> ! {
-        eprintln!("error: {msg}");
-        print_usage();
-        std::process::exit(2);
-    };
     let mut tolerance = wsn_bench::regress::DEFAULT_TOLERANCE;
     let mut paths: Vec<&String> = Vec::new();
     let mut i = 0;
@@ -385,7 +396,7 @@ fn run_bench_diff(argv: &[String]) -> ! {
                 i += 1;
                 tolerance = match argv.get(i).map(|v| v.parse::<f64>()) {
                     Some(Ok(t)) if t >= 0.0 => t,
-                    _ => fail("--tolerance needs a non-negative fraction".into()),
+                    _ => usage_error("--tolerance needs a non-negative fraction".into()),
                 };
             }
             _ => paths.push(&argv[i]),
@@ -393,7 +404,7 @@ fn run_bench_diff(argv: &[String]) -> ! {
         i += 1;
     }
     let [baseline_path, current_path] = paths[..] else {
-        fail("bench-diff takes exactly two results files".into());
+        usage_error("bench-diff takes exactly two results files".into());
     };
     let load = |path: &String| -> Json {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -424,42 +435,15 @@ fn run_fuzz(argv: &[String]) -> ! {
     let mut threads: usize = wsn_sim::parallel::thread_count();
     let mut corpus: Option<String> = None;
     let mut repro: Option<String> = None;
-    let fail = |msg: String| -> ! {
-        eprintln!("error: {msg}");
-        print_usage();
-        std::process::exit(2);
-    };
     let mut i = 0;
     while i < argv.len() {
-        let value = |i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            match argv.get(*i) {
-                Some(v) => v.clone(),
-                None => fail(format!("{flag} needs a value")),
-            }
-        };
         match argv[i].as_str() {
-            "--scenarios" => {
-                scenarios = match value(&mut i, "--scenarios").parse() {
-                    Ok(n) => n,
-                    Err(e) => fail(format!("--scenarios: {e}")),
-                }
-            }
-            "--seed" => {
-                seed = match value(&mut i, "--seed").parse() {
-                    Ok(n) => n,
-                    Err(e) => fail(format!("--seed: {e}")),
-                }
-            }
-            "--threads" => {
-                threads = match value(&mut i, "--threads").parse::<usize>() {
-                    Ok(n) => n.max(1),
-                    Err(e) => fail(format!("--threads: {e}")),
-                }
-            }
-            "--corpus" => corpus = Some(value(&mut i, "--corpus")),
-            "--repro" => repro = Some(value(&mut i, "--repro")),
-            other => fail(format!("unknown fuzz argument {other}")),
+            "--scenarios" => scenarios = flag_value(argv, &mut i),
+            "--seed" => seed = flag_value(argv, &mut i),
+            "--threads" => threads = flag_value::<usize>(argv, &mut i).max(1),
+            "--corpus" => corpus = Some(flag_value(argv, &mut i)),
+            "--repro" => repro = Some(flag_value(argv, &mut i)),
+            other => usage_error(format!("unknown fuzz argument {other}")),
         }
         i += 1;
     }
@@ -472,7 +456,7 @@ fn run_fuzz(argv: &[String]) -> ! {
     if let Some(line) = repro {
         let scenario = match wsn_check::parse_line(&line) {
             Ok(s) => s,
-            Err(e) => fail(format!("--repro: {e}")),
+            Err(e) => usage_error(format!("--repro: {e}")),
         };
         let report = wsn_check::check(&scenario);
         if report.violations.is_empty() {
@@ -490,11 +474,11 @@ fn run_fuzz(argv: &[String]) -> ! {
     if let Some(path) = &corpus {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
-            Err(e) => fail(format!("reading {path}: {e}")),
+            Err(e) => usage_error(format!("reading {path}: {e}")),
         };
         let entries = match wsn_check::corpus_entries(&text) {
             Ok(e) => e,
-            Err(e) => fail(format!("{path}: {e}")),
+            Err(e) => usage_error(format!("{path}: {e}")),
         };
         let mut regressed = 0usize;
         for (line, scenario) in &entries {
@@ -553,65 +537,25 @@ fn run_scale(argv: &[String]) -> ! {
 
     let mut nodes: usize = 10_000;
     let mut rounds: u32 = 200;
-    let mut wave_threads: usize = 1;
     let mut seed: u64 = 0x5CA1E;
     let mut budget_secs: Option<f64> = None;
-    let fail = |msg: String| -> ! {
-        eprintln!("error: {msg}");
-        print_usage();
-        std::process::exit(2);
-    };
     let mut i = 0;
     while i < argv.len() {
-        let value = |i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            match argv.get(*i) {
-                Some(v) => v.clone(),
-                None => fail(format!("{flag} needs a value")),
-            }
-        };
         match argv[i].as_str() {
-            "--nodes" => {
-                nodes = match value(&mut i, "--nodes").parse() {
-                    Ok(n) => n,
-                    Err(e) => fail(format!("--nodes: {e}")),
-                }
-            }
-            "--rounds" => {
-                rounds = match value(&mut i, "--rounds").parse() {
-                    Ok(n) => n,
-                    Err(e) => fail(format!("--rounds: {e}")),
-                }
-            }
-            "--wave-threads" => {
-                wave_threads = match value(&mut i, "--wave-threads").parse::<usize>() {
-                    Ok(n) => n.max(1),
-                    Err(e) => fail(format!("--wave-threads: {e}")),
-                }
-            }
-            "--seed" => {
-                seed = match value(&mut i, "--seed").parse() {
-                    Ok(n) => n,
-                    Err(e) => fail(format!("--seed: {e}")),
-                }
-            }
-            "--budget-secs" => {
-                budget_secs = match value(&mut i, "--budget-secs").parse() {
-                    Ok(t) => Some(t),
-                    Err(e) => fail(format!("--budget-secs: {e}")),
-                }
-            }
-            other => fail(format!("unknown scale argument {other}")),
+            "--nodes" => nodes = flag_value(argv, &mut i),
+            "--rounds" => rounds = flag_value(argv, &mut i),
+            "--seed" => seed = flag_value(argv, &mut i),
+            "--budget-secs" => budget_secs = Some(flag_value(argv, &mut i)),
+            other => usage_error(format!("unknown scale argument {other}")),
         }
         i += 1;
     }
     if nodes == 0 || rounds == 0 {
-        fail("scale needs --nodes >= 1 and --rounds >= 1".into());
+        usage_error("scale needs --nodes >= 1 and --rounds >= 1".into());
     }
 
     let built = Instant::now();
     let mut net = wsn_bench::scale::build_world(nodes, seed);
-    net.set_wave_workers(wave_threads);
     eprintln!(
         "scale: built {} nodes (avg degree target {}) in {:.2}s",
         net.len(),
@@ -623,7 +567,7 @@ fn run_scale(argv: &[String]) -> ! {
     let answer = wsn_bench::scale::hbc_rounds(&mut net, nodes, rounds);
     let elapsed = start.elapsed().as_secs_f64();
     println!(
-        "scale: n={nodes} rounds={rounds} wave-threads={wave_threads} \
+        "scale: n={nodes} rounds={rounds} \
          wall={elapsed:.2}s round={:.3}ms ns/(node*round)={:.0} median={answer}",
         elapsed * 1e3 / rounds as f64,
         elapsed * 1e9 / (nodes as f64 * rounds as f64),
@@ -679,7 +623,7 @@ fn build_config(args: &Args) -> Result<SimulationConfig, String> {
             epoch: wsn_sim::Scenario::MOBILITY_EPOCH,
         },
     );
-    Ok(SimulationConfig {
+    let cfg = SimulationConfig {
         sensor_count: args.nodes,
         radio_range: args.rho,
         rounds: args.rounds,
@@ -692,9 +636,11 @@ fn build_config(args: &Args) -> Result<SimulationConfig, String> {
         dynamics,
         audit: args.audit,
         dataset,
-        wave_workers: args.wave_threads,
         ..SimulationConfig::default()
-    })
+    };
+    // Reject out-of-domain input here, before any worker thread starts.
+    cfg.validate().map_err(|e| e.to_string())?;
+    Ok(cfg)
 }
 
 /// Writes `text` to `path`, mapping IO errors to a printable message.
@@ -847,8 +793,8 @@ fn metrics_json(m: &AggregatedMetrics) -> Json {
 /// both boundaries, mixed epochs) over one shared network, optionally
 /// applies admit/retire events mid-run, and prints per-query answers and
 /// lane charges plus the shared-plan aggregates. `--digest` prints the
-/// byte-exact parity digest instead (identical at any `--wave-threads`).
-/// Exit 0 clean, 1 on any audit discrepancy, 2 on bad usage.
+/// byte-exact parity digest instead. Exit 0 clean, 1 on any audit
+/// discrepancy, 2 on bad usage or events that would not take effect.
 fn run_serve(argv: &[String]) -> ! {
     use wsn_sim::{DataSource, Scenario, ServeEvent, ServeQuery};
 
@@ -858,7 +804,6 @@ fn run_serve(argv: &[String]) -> ! {
     let mut phi_milli: u32 = 500;
     let mut seed: u64 = 0x5EE5;
     let mut shared = false;
-    let mut wave_threads: usize = 1;
     let mut digest = false;
     let mut audit_table = false;
     let mut json: Option<String> = None;
@@ -868,87 +813,68 @@ fn run_serve(argv: &[String]) -> ! {
     let mut metrics_out: Option<String> = None;
     let mut status_every: u32 = 0;
     let mut events: Vec<ServeEvent> = Vec::new();
-    let fail = |msg: String| -> ! {
-        eprintln!("error: {msg}");
-        print_usage();
-        std::process::exit(2);
-    };
     let mut i = 0;
     while i < argv.len() {
-        let value = |i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            match argv.get(*i) {
-                Some(v) => v.clone(),
-                None => fail(format!("{flag} needs a value")),
-            }
-        };
-        let pair = |raw: &str, flag: &str| -> (u32, u32) {
+        let flag = argv[i].as_str();
+        let bad = |what: &str| -> ! { usage_error(format!("{flag} needs {what}")) };
+        let pair = |i: &mut usize| -> (u32, u32) {
+            let raw: String = flag_value(argv, i);
             match raw.split_once(':').map(|(a, b)| (a.parse(), b.parse())) {
                 Some((Ok(a), Ok(b))) => (a, b),
-                _ => fail(format!("{flag}: expected ROUND:VALUE, got `{raw}`")),
+                _ => usage_error(format!("{flag}: expected ROUND:VALUE, got `{raw}`")),
             }
         };
-        match argv[i].as_str() {
+        match flag {
             "--queries" => {
-                queries = match value(&mut i, "--queries").parse::<u32>() {
-                    Ok(n) if (1..=64).contains(&n) => n,
-                    Ok(n) => fail(format!("--queries: {n} outside 1..=64")),
-                    Err(e) => fail(format!("--queries: {e}")),
+                queries = flag_value(argv, &mut i);
+                if !(1..=64).contains(&queries) {
+                    bad("a query count in 1..=64");
                 }
             }
             "--nodes" => {
-                nodes = match value(&mut i, "--nodes").parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => fail("--nodes needs a positive integer".into()),
+                nodes = flag_value(argv, &mut i);
+                if nodes == 0 {
+                    bad("a positive integer");
                 }
             }
             "--rounds" => {
-                rounds = match value(&mut i, "--rounds").parse::<u32>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => fail("--rounds needs a positive integer".into()),
+                rounds = flag_value(argv, &mut i);
+                if rounds == 0 {
+                    bad("a positive integer");
                 }
             }
             "--phi" => {
-                phi_milli = match value(&mut i, "--phi").parse::<f64>() {
-                    Ok(p) if (0.0..=1.0).contains(&p) => (p * 1000.0).round() as u32,
-                    _ => fail("--phi needs a fraction in [0, 1]".into()),
+                let phi: f64 = flag_value(argv, &mut i);
+                if !(0.0..=1.0).contains(&phi) {
+                    bad("a fraction in [0, 1]");
                 }
+                phi_milli = (phi * 1000.0).round() as u32;
             }
-            "--seed" => {
-                seed = match value(&mut i, "--seed").parse() {
-                    Ok(n) => n,
-                    Err(e) => fail(format!("--seed: {e}")),
-                }
-            }
-            "--wave-threads" => {
-                wave_threads = match value(&mut i, "--wave-threads").parse::<usize>() {
-                    Ok(n) => n.max(1),
-                    Err(e) => fail(format!("--wave-threads: {e}")),
-                }
-            }
+            "--seed" => seed = flag_value(argv, &mut i),
             "--shared" => shared = true,
             "--digest" => digest = true,
             "--audit" => audit_table = true,
-            "--json" => json = Some(value(&mut i, "--json")),
+            "--json" => json = Some(flag_value(argv, &mut i)),
             "--monitor" => monitor_on = true,
             "--budget-mj" => {
-                budget_mj = match value(&mut i, "--budget-mj").parse::<f64>() {
-                    Ok(mj) if mj > 0.0 => Some(mj),
-                    _ => fail("--budget-mj needs a positive number of millijoules".into()),
+                let mj: f64 = flag_value(argv, &mut i);
+                if mj.is_nan() || mj <= 0.0 {
+                    bad("a positive number of millijoules");
                 }
+                budget_mj = Some(mj);
             }
-            "--health-json" => health_json = Some(value(&mut i, "--health-json")),
-            "--metrics-out" => metrics_out = Some(value(&mut i, "--metrics-out")),
+            "--health-json" => health_json = Some(flag_value(argv, &mut i)),
+            "--metrics-out" => metrics_out = Some(flag_value(argv, &mut i)),
             "--status-every" => {
-                status_every = match value(&mut i, "--status-every").parse::<u32>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => fail("--status-every needs a positive round interval".into()),
+                status_every = flag_value(argv, &mut i);
+                if status_every == 0 {
+                    bad("a positive round interval");
                 }
             }
             "--admit" => {
-                let (round, phi) = pair(&value(&mut i, "--admit"), "--admit");
+                let (round, phi) = pair(&mut i);
                 if phi > 1000 {
-                    fail(format!("--admit: φ‰ {phi} outside 0..=1000"));
+                    bad("a φ‰ in 0..=1000");
                 }
                 events.push(ServeEvent::Admit {
                     round,
@@ -960,10 +886,10 @@ fn run_serve(argv: &[String]) -> ! {
                 });
             }
             "--retire" => {
-                let (round, slot) = pair(&value(&mut i, "--retire"), "--retire");
+                let (round, slot) = pair(&mut i);
                 events.push(ServeEvent::Retire { round, slot });
             }
-            other => fail(format!("unknown serve argument {other}")),
+            other => usage_error(format!("unknown serve argument {other}")),
         }
         i += 1;
     }
@@ -991,11 +917,15 @@ fn run_serve(argv: &[String]) -> ! {
             noise_permille: 100,
         },
     };
-    let cfg = SimulationConfig {
-        wave_workers: wave_threads,
-        ..sc.to_config()
-    };
+    let cfg = sc.to_config();
     let workload = sc.workload();
+    let valid = cfg
+        .validate()
+        .and_then(|()| wsn_sim::validate_events(workload.len(), &events, rounds));
+    if let Err(e) = valid {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
 
     // Any monitoring flag attaches the monitor; the flight recorder is
     // sized to the whole run so `--status-every` can replay every round.
@@ -1031,13 +961,11 @@ fn run_serve(argv: &[String]) -> ! {
     let (report, monitor, _net) =
         wsn_sim::serve_monitored(&cfg, &workload, &events, shared, 0, monitor_cfg.as_ref());
     println!(
-        "serve: {} queries over {} rounds on {} nodes ({} framing, {} wave thread{})",
+        "serve: {} queries over {} rounds on {} nodes ({} framing)",
         report.queries.len(),
         report.rounds,
         nodes,
         if shared { "shared" } else { "solo" },
-        wave_threads,
-        if wave_threads == 1 { "" } else { "s" },
     );
     println!(
         "plan: {} executions for {} query-rounds served, cache {} hits / {} misses",

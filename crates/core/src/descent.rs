@@ -92,7 +92,7 @@ fn histogram_request_reuse(
             scratch.contributions[idx] = Some(Histogram::unit(part.buckets, i));
         }
     }
-    net.convergecast_slots(&mut scratch.contributions, |_, _| {})
+    net.convergecast(|u| scratch.contributions[u.index()].take())
         .unwrap_or_else(|| Histogram::zeros(part.buckets))
 }
 

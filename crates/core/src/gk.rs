@@ -147,7 +147,7 @@ impl Gk {
                 contributions[idx] = Some(pair);
             }
         }
-        net.convergecast_slots(&mut contributions, |_, _| {})
+        net.convergecast(|u| contributions[u.index()].take())
             .unwrap_or_default()
     }
 }

@@ -156,7 +156,7 @@ impl GkSinkQuantile {
             }
             contributions[idx] = Some(CountsMsg(c));
         }
-        net.convergecast_slots(&mut contributions, |_, _| {})
+        net.convergecast(|u| contributions[u.index()].take())
             .unwrap_or_default()
             .0
     }
@@ -226,7 +226,7 @@ impl GkSinkQuantile {
                 contributions[idx] = Some(pair);
             }
         }
-        net.convergecast_slots(&mut contributions, |_, _| {})
+        net.convergecast(|u| contributions[u.index()].take())
             .unwrap_or_default()
     }
 

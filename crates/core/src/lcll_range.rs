@@ -195,7 +195,7 @@ impl LcllRange {
             }
         }
         let hist = net
-            .convergecast_slots(&mut contributions, |_, _| {})
+            .convergecast(|u| contributions[u.index()].take())
             .unwrap_or_else(|| Histogram::zeros(part.buckets));
 
         self.focus = bucket;
@@ -280,7 +280,7 @@ impl LcllRange {
                     }
                 }
                 let hist = net
-                    .convergecast_slots(&mut contributions, |_, _| {})
+                    .convergecast(|u| contributions[u.index()].take())
                     .unwrap_or_else(|| Histogram::zeros(top.buckets));
                 self.top_counts = hist.counts().to_vec();
                 // Materialize focus from the known values (root-side
@@ -367,7 +367,7 @@ impl ContinuousQuantile for LcllRange {
             }));
         }
         self.prev.copy_from_slice(values);
-        if let Some(deltas) = net.convergecast_slots(&mut contributions, |_, _| {}) {
+        if let Some(deltas) = net.convergecast(|u| contributions[u.index()].take()) {
             let apply = |base: u64, d: i64| {
                 if d >= 0 {
                     base + d as u64

@@ -129,7 +129,7 @@ impl Pos {
             }
         }
         let merged = net
-            .convergecast_slots(&mut contributions, |_, _| {})
+            .convergecast(|u| contributions[u.index()].take())
             .unwrap_or_default();
         let n_total = self.counts.n();
         let l = (self.counts.l + merged.into_lt).saturating_sub(merged.outof_lt);
@@ -164,7 +164,7 @@ impl Pos {
             }
         }
         let collected = net
-            .convergecast_slots(&mut contributions, |_, _| {})
+            .convergecast(|u| contributions[u.index()].take())
             .map(|l: ValueList| l.vals)
             .unwrap_or_default();
 

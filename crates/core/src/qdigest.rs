@@ -36,7 +36,7 @@ use crate::Value;
 ///
 /// Entries are kept sorted by heap node id; the representation is fully
 /// deterministic (merge and compression never depend on insertion order
-/// beyond the multiset itself), which the engine's bit-exact parallel
+/// beyond the multiset itself), which the bit-exact run-level thread
 /// parity relies on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QDigest {

@@ -56,7 +56,7 @@ pub fn direct_retrieval(
         }
     }
     let collected = net
-        .convergecast_slots(&mut contributions, |_, _| {})
+        .convergecast(|u| contributions[u.index()].take())
         .map(|l: ValueList| l.vals)
         .unwrap_or_default();
 

@@ -4,10 +4,7 @@
 //!
 //! The paper's two headline indicators — maximum per-node energy
 //! consumption and network lifetime (§5.1.5) — are only as trustworthy as
-//! the ledger behind them, and after the reliability extension the ledger
-//! is charged from four different call sites (plain convergecast,
-//! broadcast, ARQ retransmissions, recovery waves). This module closes the
-//! loop:
+//! the ledger behind them. This module closes the loop:
 //!
 //! * every transmission emits a [`TxEvent`] into a per-run [`AuditLog`]
 //!   (each simulation run owns its network, so the log needs no locking —
@@ -153,6 +150,22 @@ impl TxKind {
             TxKind::Idle => "idle",
         }
     }
+
+    /// The `(messages, bits, joules)` one event of this kind adds to the
+    /// traffic stats and the per-phase and per-lane books: data frames
+    /// count fragments and bits and charge tx + rx; ACKs add bits and
+    /// energy but no message; a broadcast counts its frames and bits once,
+    /// at the transmitter, and each reception adds only rx energy; idle
+    /// listening is rx energy with nothing on the air.
+    #[inline]
+    pub fn tally(self, fragments: u64, bits: u64, tx: f64, rx: f64) -> (u64, u64, f64) {
+        match self {
+            TxKind::Data => (fragments, bits, tx + rx),
+            TxKind::Ack => (0, bits, tx + rx),
+            TxKind::BroadcastTx => (fragments, bits, tx),
+            TxKind::BroadcastRx | TxKind::Idle => (0, 0, rx),
+        }
+    }
 }
 
 /// One audited transmission, in ledger-charge order.
@@ -256,9 +269,9 @@ impl PhaseBreakdown {
 
 /// Per-lane [`PhaseBreakdown`]s: the service layer's per-query energy and
 /// traffic attribution. A *lane* is the query slot whose execution caused
-/// a charge; the network charges the book live, right next to every
-/// [`PhaseBreakdown::charge`], so each lane accumulates its own `f64` sums
-/// in its own event order. That makes the live book reproducible from the
+/// a charge; the network charges the book live, in the same call that
+/// charges the global breakdown, so each lane accumulates its own `f64`
+/// sums in its own event order. That makes the live book reproducible from the
 /// audit log by [`lane_breakdowns`] bit for bit: filtering the global
 /// event sequence to one lane preserves that lane's accumulation order.
 #[derive(Debug, Clone, Default)]
@@ -303,35 +316,39 @@ impl LaneBook {
     pub fn clear(&mut self) {
         self.lanes.clear();
     }
+
+    /// Replays one audited event: the same `(messages, bits, joules)`
+    /// charge ([`TxKind::tally`]) the engine made when it recorded it.
+    fn replay(&mut self, ev: &TxEvent) {
+        let (messages, bits, joules) =
+            ev.kind
+                .tally(ev.fragments, ev.bits, ev.joules_tx, ev.joules_rx);
+        self.charge(ev.lane, ev.phase, messages, bits, joules);
+    }
+
+    /// The per-lane breakdowns, padded with zeros to at least `n_lanes`.
+    fn padded(&self, n_lanes: usize) -> Vec<PhaseBreakdown> {
+        let mut lanes = self.lanes.clone();
+        if lanes.len() < n_lanes {
+            lanes.resize(n_lanes, PhaseBreakdown::default());
+        }
+        lanes
+    }
 }
 
 /// Rebuilds the per-lane [`PhaseBreakdown`]s from an enabled run's audit
 /// log. Bit-exact against the live [`LaneBook`] the network maintained:
 /// every event charges exactly one lane with the same `(messages, bits,
-/// joules)` arguments the engine passed to the live book, so per-lane
-/// accumulation order — hence `f64` rounding — is identical. `n_lanes`
-/// floors the result length so callers can compare books of equal size.
+/// joules)` projection ([`TxKind::tally`]) the engine charged the live
+/// book with, so per-lane accumulation order — hence `f64` rounding — is
+/// identical. `n_lanes` floors the result length so callers can compare
+/// books of equal size.
 pub fn lane_breakdowns(log: &AuditLog, n_lanes: usize) -> Vec<PhaseBreakdown> {
     let mut book = LaneBook::default();
     for ev in log.events() {
-        // Mirror the engine's charge sites exactly: Data charges tx + rx
-        // and counts fragments/bits; ACKs charge energy + bits but no
-        // message count; broadcast counts bits once at the transmitter and
-        // receptions charge rx energy only.
-        let (messages, bits, joules) = match ev.kind {
-            TxKind::Data => (ev.fragments, ev.bits, ev.joules_tx + ev.joules_rx),
-            TxKind::Ack => (0, ev.bits, ev.joules_tx + ev.joules_rx),
-            TxKind::BroadcastTx => (ev.fragments, ev.bits, ev.joules_tx),
-            TxKind::BroadcastRx => (0, 0, ev.joules_rx),
-            TxKind::Idle => (0, 0, ev.joules_rx),
-        };
-        book.charge(ev.lane, ev.phase, messages, bits, joules);
+        book.replay(ev);
     }
-    let mut lanes = book.lanes;
-    if lanes.len() < n_lanes {
-        lanes.resize(n_lanes, PhaseBreakdown::default());
-    }
-    lanes
+    book.padded(n_lanes)
 }
 
 /// Rebuilds the cumulative per-lane [`PhaseBreakdown`]s at *every* round
@@ -351,28 +368,13 @@ pub fn lane_breakdowns_by_round(
     rounds: u32,
 ) -> Vec<Vec<PhaseBreakdown>> {
     let mut book = LaneBook::default();
-    let snapshot = |book: &LaneBook| -> Vec<PhaseBreakdown> {
-        let mut lanes = book.breakdowns().to_vec();
-        if lanes.len() < n_lanes {
-            lanes.resize(n_lanes, PhaseBreakdown::default());
-        }
-        lanes
-    };
     let mut out: Vec<Vec<PhaseBreakdown>> = Vec::with_capacity(rounds as usize);
     let mut events = log.events().iter().peekable();
     for r in 0..rounds {
         while events.peek().is_some_and(|e| e.round <= r) {
-            let ev = events.next().expect("peeked");
-            let (messages, bits, joules) = match ev.kind {
-                TxKind::Data => (ev.fragments, ev.bits, ev.joules_tx + ev.joules_rx),
-                TxKind::Ack => (0, ev.bits, ev.joules_tx + ev.joules_rx),
-                TxKind::BroadcastTx => (ev.fragments, ev.bits, ev.joules_tx),
-                TxKind::BroadcastRx => (0, 0, ev.joules_rx),
-                TxKind::Idle => (0, 0, ev.joules_rx),
-            };
-            book.charge(ev.lane, ev.phase, messages, bits, joules);
+            book.replay(events.next().expect("peeked"));
         }
-        out.push(snapshot(&book));
+        out.push(book.padded(n_lanes));
     }
     out
 }
@@ -400,7 +402,6 @@ pub struct RoundSnapshot {
 pub struct AuditLog {
     enabled: bool,
     round: u32,
-    lane: u32,
     events: Vec<TxEvent>,
     snapshots: Vec<RoundSnapshot>,
 }
@@ -424,46 +425,13 @@ impl AuditLog {
         self.round
     }
 
-    /// Sets the service lane stamped on subsequent events (sticky until
-    /// the next call; rounds do not reset it).
-    pub fn set_lane(&mut self, lane: u32) {
-        self.lane = lane;
-    }
-
-    /// The lane currently stamped on new events.
-    pub fn lane(&self) -> u32 {
-        self.lane
-    }
-
-    /// Records one transmission (no-op when disabled).
+    /// Records one transmission (no-op when disabled). The caller stamps
+    /// the event with [`AuditLog::round`] and its lane and phase.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        phase: Phase,
-        kind: TxKind,
-        src: NodeId,
-        dst: NodeId,
-        fragments: u64,
-        bits: u64,
-        joules_tx: f64,
-        joules_rx: f64,
-    ) {
-        if !self.enabled {
-            return;
+    pub fn record(&mut self, event: TxEvent) {
+        if self.enabled {
+            self.events.push(event);
         }
-        self.events.push(TxEvent {
-            round: self.round,
-            lane: self.lane,
-            phase,
-            kind,
-            src,
-            dst,
-            fragments,
-            bits,
-            joules_tx,
-            joules_rx,
-        });
     }
 
     /// Marks a round boundary, snapshotting the ledger when enabled.
@@ -705,19 +673,26 @@ mod tests {
         assert!((b.total_joules() - 2.5e-6).abs() < 1e-18);
     }
 
+    /// A one-fragment event in round 0 on lane 0; tests override fields.
+    fn event(kind: TxKind, src: u32, dst: u32, bits: u64, tx: f64, rx: f64) -> TxEvent {
+        TxEvent {
+            round: 0,
+            lane: 0,
+            phase: Phase::Other,
+            kind,
+            src: NodeId(src),
+            dst: NodeId(dst),
+            fragments: 1,
+            bits,
+            joules_tx: tx,
+            joules_rx: rx,
+        }
+    }
+
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = AuditLog::default();
-        log.record(
-            Phase::Other,
-            TxKind::Data,
-            NodeId(1),
-            NodeId(0),
-            1,
-            128,
-            1e-6,
-            1e-7,
-        );
+        log.record(event(TxKind::Data, 1, 0, 128, 1e-6, 1e-7));
         log.end_round(&[0.0], &[0.0]);
         assert!(log.events().is_empty());
         assert!(log.snapshots().is_empty());
@@ -738,32 +713,14 @@ mod tests {
         let (tx, rx) = (model.tx_energy(bits, range), model.rx_energy(bits));
         ledger.charge_tx(NodeId(2), tx);
         ledger.charge(NodeId(1), rx);
-        log.record(
-            Phase::Validation,
-            TxKind::Data,
-            NodeId(2),
-            NodeId(1),
-            1,
-            bits,
-            tx,
-            rx,
-        );
+        log.record(event(TxKind::Data, 2, 1, bits, tx, rx));
         let (atx, arx) = (
             model.tx_energy(sizes.ack_bits, range),
             model.rx_energy(sizes.ack_bits),
         );
         ledger.charge_tx(NodeId(1), atx);
         ledger.charge(NodeId(2), arx);
-        log.record(
-            Phase::Validation,
-            TxKind::Ack,
-            NodeId(1),
-            NodeId(2),
-            1,
-            sizes.ack_bits,
-            atx,
-            arx,
-        );
+        log.record(event(TxKind::Ack, 1, 2, sizes.ack_bits, atx, arx));
         ledger.end_round();
         log.end_round(ledger.consumed_per_node(), ledger.consumed_tx_per_node());
 
@@ -785,16 +742,7 @@ mod tests {
         let (tx, rx) = (model.tx_energy(bits, range), model.rx_energy(bits));
         ledger.charge_tx(NodeId(1), tx);
         ledger.charge(NodeId(0), rx);
-        log.record(
-            Phase::Other,
-            TxKind::Data,
-            NodeId(1),
-            NodeId(0),
-            1,
-            bits,
-            tx,
-            rx,
-        );
+        log.record(event(TxKind::Data, 1, 0, bits, tx, rx));
         // Corrupt: an extra charge the log never saw.
         ledger.charge(NodeId(1), 1e-9);
         let report = EnergyAuditor::verify_parts(&log, &model, &sizes, range, &ledger);
@@ -815,18 +763,10 @@ mod tests {
         log.set_enabled(true);
         let bits = 128u64;
         let wrong_tx = model.tx_energy(bits, range) * 2.0; // double-charged
+        let rx = model.rx_energy(bits);
         ledger.charge_tx(NodeId(1), wrong_tx);
-        ledger.charge(NodeId(0), model.rx_energy(bits));
-        log.record(
-            Phase::Other,
-            TxKind::Data,
-            NodeId(1),
-            NodeId(0),
-            1,
-            bits,
-            wrong_tx,
-            model.rx_energy(bits),
-        );
+        ledger.charge(NodeId(0), rx);
+        log.record(event(TxKind::Data, 1, 0, bits, wrong_tx, rx));
         let report = EnergyAuditor::verify_parts(&log, &model, &sizes, range, &ledger);
         assert!(report
             .discrepancies
@@ -867,8 +807,8 @@ mod tests {
         log.set_enabled(true);
         let mut live = LaneBook::default();
 
-        // Interleave lanes 0 and 2 the way the engine would: set the lane,
-        // then charge the live book and the log with identical arguments.
+        // Interleave lanes 0 and 2 the way the engine would: charge the
+        // live book with each event's tally and record the event.
         for (lane, kind, bits) in [
             (0u32, TxKind::Data, 300u64),
             (2, TxKind::Data, 144),
@@ -877,29 +817,18 @@ mod tests {
             (0, TxKind::Ack, 88),
             (1, TxKind::Idle, 100),
         ] {
-            log.set_lane(lane);
             let (tx, rx) = match kind {
                 TxKind::Data | TxKind::Ack => (model.tx_energy(bits, range), model.rx_energy(bits)),
                 TxKind::BroadcastTx => (model.tx_energy(bits, range), 0.0),
                 TxKind::BroadcastRx | TxKind::Idle => (0.0, model.rx_energy(bits)),
             };
-            let (messages, counted_bits, joules) = match kind {
-                TxKind::Data => (1, bits, tx + rx),
-                TxKind::Ack => (0, bits, tx + rx),
-                TxKind::BroadcastTx => (1, bits, tx),
-                TxKind::BroadcastRx | TxKind::Idle => (0, 0, rx),
-            };
+            let (messages, counted_bits, joules) = kind.tally(1, bits, tx, rx);
             live.charge(lane, Phase::Validation, messages, counted_bits, joules);
-            log.record(
-                Phase::Validation,
-                kind,
-                NodeId(1),
-                NodeId(0),
-                1,
-                bits,
-                tx,
-                rx,
-            );
+            log.record(TxEvent {
+                lane,
+                phase: Phase::Validation,
+                ..event(kind, 1, 0, bits, tx, rx)
+            });
         }
 
         let replayed = lane_breakdowns(&log, 4);
@@ -915,34 +844,32 @@ mod tests {
     }
 
     #[test]
+    fn tally_counts_messages_bits_and_joules_per_kind() {
+        let t = |kind: TxKind| kind.tally(3, 100, 2.0, 0.5);
+        assert_eq!(t(TxKind::Data), (3, 100, 2.5));
+        assert_eq!(t(TxKind::Ack), (0, 100, 2.5), "ACKs are not messages");
+        assert_eq!(t(TxKind::BroadcastTx), (3, 100, 2.0));
+        assert_eq!(t(TxKind::BroadcastRx), (0, 0, 0.5), "bits count once");
+        assert_eq!(t(TxKind::Idle), (0, 0, 0.5), "nothing on the air");
+    }
+
+    #[test]
     fn per_round_lane_replay_snapshots_every_boundary() {
         let mut log = AuditLog::default();
         log.set_enabled(true);
         // Round 0: lane 0 sends one data frame.
-        log.set_lane(0);
-        log.record(
-            Phase::Validation,
-            TxKind::Data,
-            NodeId(1),
-            NodeId(0),
-            1,
-            100,
-            1e-6,
-            2e-7,
-        );
+        log.record(TxEvent {
+            phase: Phase::Validation,
+            ..event(TxKind::Data, 1, 0, 100, 1e-6, 2e-7)
+        });
         log.end_round(&[], &[]);
         // Round 1: lane 2 sends, lane 0 silent.
-        log.set_lane(2);
-        log.record(
-            Phase::Refinement,
-            TxKind::Data,
-            NodeId(2),
-            NodeId(0),
-            1,
-            40,
-            5e-7,
-            1e-7,
-        );
+        log.record(TxEvent {
+            round: 1,
+            lane: 2,
+            phase: Phase::Refinement,
+            ..event(TxKind::Data, 2, 0, 40, 5e-7, 1e-7)
+        });
         log.end_round(&[], &[]);
         // Rounds 2..4: silence.
 
@@ -963,41 +890,24 @@ mod tests {
 
     #[test]
     fn events_carry_the_sticky_lane() {
-        let mut log = AuditLog::default();
-        log.set_enabled(true);
-        log.record(
-            Phase::Other,
-            TxKind::Data,
-            NodeId(1),
-            NodeId(0),
-            1,
-            64,
-            0.0,
-            0.0,
-        );
-        log.set_lane(5);
-        log.record(
-            Phase::Other,
-            TxKind::Data,
-            NodeId(2),
-            NodeId(0),
-            1,
-            64,
-            0.0,
-            0.0,
-        );
-        log.end_round(&[], &[]);
-        log.record(
-            Phase::Other,
-            TxKind::Data,
-            NodeId(3),
-            NodeId(0),
-            1,
-            64,
-            0.0,
-            0.0,
-        );
-        let lanes: Vec<u32> = log.events().iter().map(|e| e.lane).collect();
-        assert_eq!(lanes, vec![0, 5, 5], "lane sticks across rounds");
+        use crate::geometry::Point;
+        use crate::network::Network;
+        use crate::topology::Topology;
+        use crate::tree::RoutingTree;
+        // A one-hop network: each broadcast is one tx and one rx event.
+        let topo = Topology::build(vec![Point::new(0.0, 0.0), Point::new(5.0, 0.0)], 10.0);
+        let tree = RoutingTree::shortest_path_tree(&topo).unwrap();
+        let mut net = Network::new(topo, tree, RadioModel::default(), MessageSizes::default());
+        net.set_audit(true);
+        net.broadcast(64);
+        net.set_lane(5);
+        net.broadcast(64);
+        net.end_round();
+        net.broadcast(64);
+        let events = net.audit_log().events();
+        let lanes: Vec<u32> = events.iter().map(|e| e.lane).collect();
+        assert_eq!(lanes, vec![0, 0, 5, 5, 5, 5], "lane sticks across rounds");
+        let rounds: Vec<u32> = events.iter().map(|e| e.round).collect();
+        assert_eq!(rounds, vec![0, 0, 0, 0, 1, 1]);
     }
 }

@@ -15,7 +15,9 @@
 //!
 //! The engine charges transmit/receive energy per the [`RadioModel`] and
 //! fragments payloads per [`MessageSizes`]. Protocol logic never touches the
-//! ledger directly.
+//! ledger directly: every charge goes through one `Books::charge` call,
+//! which feeds the ledger, the traffic stats, the per-phase and per-lane
+//! breakdowns and the audit log together.
 //!
 //! With a [`LossModel`] installed, every 802.15.4 fragment is lost
 //! independently; the optional reliability layer (see
@@ -25,7 +27,7 @@
 
 use std::any::{Any, TypeId};
 
-use crate::audit::{AuditLog, LaneBook, Phase, PhaseBreakdown, TxKind};
+use crate::audit::{AuditLog, LaneBook, Phase, PhaseBreakdown, TxEvent, TxKind};
 use crate::bitset::NodeBits;
 use crate::energy::{EnergyLedger, RadioModel};
 use crate::loss::LossModel;
@@ -80,38 +82,24 @@ impl TrafficStats {
     }
 }
 
-/// Reusable per-wave scratch buffers, so the convergecast/broadcast hot
-/// path performs no heap allocation in steady state. Convergecast buffers
-/// are generic over the payload type, so they are stored type-erased and
-/// recycled per `(payload type, role)`: the first wave of each combination
-/// allocates, every later wave reuses that buffer.
+/// Reusable convergecast inboxes, so the wave hot path performs no heap
+/// allocation in steady state. Inboxes are generic over the payload type,
+/// so they are stored type-erased, one recycled buffer per payload type:
+/// the first wave of each type allocates, every later wave reuses it.
 ///
 /// Scratch holds no observable state — clearing (or cloning to empty) never
 /// changes simulation results, only allocation behaviour.
 #[derive(Default)]
 struct ScratchPool {
-    /// One recycled `Vec<Option<T>>` per `(payload type, role)` pair.
-    bufs: Vec<((TypeId, u8), Box<dyn Any + Send>)>,
-}
-
-/// Scratch roles: the same payload type can need several live buffers in
-/// one wave (inbox + caller slots, or the parallel engine's own/acc/out).
-mod scratch_role {
-    /// Sequential convergecast inbox / parallel per-node accumulator.
-    pub const INBOX: u8 = 0;
-    /// [`super::Network::convergecast_fill`] contribution slots.
-    pub const FILL: u8 = 1;
-    /// Parallel engine: prefetched own contributions, group-major.
-    pub const OWN: u8 = 2;
-    /// Parallel engine: one delivered-to-root payload per subtree group.
-    pub const GROUP_OUT: u8 = 3;
+    /// One recycled `Vec<Option<T>>` per payload type.
+    bufs: Vec<(TypeId, Box<dyn Any + Send>)>,
 }
 
 impl ScratchPool {
-    /// Takes the recycled buffer for payload type `T` in `role` (empty on
-    /// first use), cleared and resized to `n` empty slots.
-    fn take_buf<T: Send + 'static>(&mut self, n: usize, role: u8) -> Vec<Option<T>> {
-        let key = (TypeId::of::<Vec<Option<T>>>(), role);
+    /// Takes the recycled buffer for payload type `T` (empty on first use),
+    /// cleared and resized to `n` empty slots.
+    fn take_buf<T: Send + 'static>(&mut self, n: usize) -> Vec<Option<T>> {
+        let key = TypeId::of::<Vec<Option<T>>>();
         let mut buf = self
             .bufs
             .iter_mut()
@@ -125,9 +113,9 @@ impl ScratchPool {
     }
 
     /// Returns a buffer to the pool for later reuse.
-    fn put_buf<T: Send + 'static>(&mut self, mut buf: Vec<Option<T>>, role: u8) {
+    fn put_buf<T: Send + 'static>(&mut self, mut buf: Vec<Option<T>>) {
         buf.clear();
-        let key = (TypeId::of::<Vec<Option<T>>>(), role);
+        let key = TypeId::of::<Vec<Option<T>>>();
         match self.bufs.iter_mut().find(|(k, _)| *k == key) {
             Some((_, b)) => {
                 if let Some(slot) = b.downcast_mut::<Vec<Option<T>>>() {
@@ -154,6 +142,99 @@ impl Clone for ScratchPool {
     }
 }
 
+/// Every book a charge lands in, plus the sticky phase and lane that
+/// attribute it. [`Books::charge`] is the single accounting path: each
+/// data frame, ACK, broadcast transmission and reception, beacon and idle
+/// listen is one call, in the engine's fixed wave order, so every book
+/// accumulates its `f64` sums in the same order the auditor replays.
+#[derive(Debug, Clone)]
+struct Books {
+    ledger: EnergyLedger,
+    stats: TrafficStats,
+    phases: PhaseBreakdown,
+    /// Per-lane attribution mirroring `phases`, so multi-query service
+    /// runs get bit-exact per-query accounting.
+    lanes: LaneBook,
+    audit: AuditLog,
+    /// The protocol phase charged (see [`Network::set_phase`]).
+    phase: Phase,
+    /// The service lane charged (see [`Network::set_lane`]); `0` outside
+    /// multi-query service runs.
+    lane: u32,
+}
+
+impl Books {
+    fn new(n: usize) -> Self {
+        Books {
+            ledger: EnergyLedger::new(n),
+            stats: TrafficStats::default(),
+            phases: PhaseBreakdown::default(),
+            lanes: LaneBook::default(),
+            audit: AuditLog::default(),
+            phase: Phase::default(),
+            lane: 0,
+        }
+    }
+
+    /// Charges one transmission event: `tx` to `src` and `rx` to `dst` in
+    /// the ledger (per [`TxKind`]: broadcast receptions and idle listens
+    /// have no transmitter, a broadcast transmission no receiver), the
+    /// kind's [`TxKind::tally`] to the stats and the current phase and
+    /// lane, and the event itself to the audit log.
+    #[inline]
+    // The arguments are exactly the fields a `TxEvent` carries beyond the
+    // sticky round, lane and phase.
+    #[allow(clippy::too_many_arguments)]
+    fn charge(
+        &mut self,
+        kind: TxKind,
+        src: NodeId,
+        dst: NodeId,
+        fragments: u64,
+        bits: u64,
+        tx: f64,
+        rx: f64,
+    ) {
+        match kind {
+            TxKind::Data | TxKind::Ack => {
+                self.ledger.charge_tx(src, tx);
+                self.ledger.charge(dst, rx);
+            }
+            TxKind::BroadcastTx => self.ledger.charge_tx(src, tx),
+            TxKind::BroadcastRx | TxKind::Idle => self.ledger.charge(dst, rx),
+        }
+        let (messages, counted_bits, joules) = kind.tally(fragments, bits, tx, rx);
+        self.stats.messages += messages;
+        self.stats.bits += counted_bits;
+        self.phases
+            .charge(self.phase, messages, counted_bits, joules);
+        self.lanes
+            .charge(self.lane, self.phase, messages, counted_bits, joules);
+        self.audit.record(TxEvent {
+            round: self.audit.round(),
+            lane: self.lane,
+            phase: self.phase,
+            kind,
+            src,
+            dst,
+            fragments,
+            bits,
+            joules_tx: tx,
+            joules_rx: rx,
+        });
+    }
+
+    /// Closes a round in the ledger and (when enabled) snapshots it into
+    /// the audit log.
+    fn end_round(&mut self) {
+        self.ledger.end_round();
+        self.audit.end_round(
+            self.ledger.consumed_per_node(),
+            self.ledger.consumed_tx_per_node(),
+        );
+    }
+}
+
 /// The simulated network: topology + routing tree + energy accounting.
 #[derive(Debug, Clone)]
 pub struct Network {
@@ -161,8 +242,7 @@ pub struct Network {
     tree: RoutingTree,
     model: RadioModel,
     sizes: MessageSizes,
-    ledger: EnergyLedger,
-    stats: TrafficStats,
+    books: Books,
     loss: Option<LossModel>,
     reliability: ReliabilityConfig,
     rel_stats: ReliabilityStats,
@@ -173,16 +253,6 @@ pub struct Network {
     /// [`Network::set_duty_cycle`]); `0` = always-off idle radio, the
     /// pre-dynamics behavior.
     duty_milli: u32,
-    /// The protocol phase currently charged for traffic (see
-    /// [`Network::set_phase`]).
-    phase: Phase,
-    phases: PhaseBreakdown,
-    /// The service lane (query slot) currently charged for traffic (see
-    /// [`Network::set_lane`]); `0` outside multi-query service runs.
-    lane: u32,
-    /// Per-lane attribution mirroring every [`PhaseBreakdown::charge`], so
-    /// multi-query service runs get bit-exact per-query accounting.
-    lanes: LaneBook,
     /// Per-round shared-frame state for multi-query rounds (see
     /// [`Network::set_shared_frames`]). Off by default.
     share: SharedWave,
@@ -191,29 +261,16 @@ pub struct Network {
     /// real round with [`Network::finish_round`] once every due query has
     /// executed — so shared frames span the whole multi-query round.
     round_hold: bool,
-    audit: AuditLog,
     scratch: ScratchPool,
-    /// Per-node telemetry histograms (always on: recording is a fixed-size
-    /// array increment, allocated once here at construction). Stored in
-    /// *wave-slot* order — `hists` slot `s` belongs to the node at
-    /// `tree.bottom_up()[s]` — so the convergecast/broadcast engines touch
-    /// the 1.1 kB histogram blocks in exactly their iteration order instead
-    /// of scattering over node-id order. [`Network::histograms`] assembles
-    /// the id-ordered view.
-    hists: NodeHistograms,
-    /// Node id → histogram storage slot (see `hists`). Tree nodes map to
-    /// their `bottom_up` position; nodes outside the routing tree (dead or
-    /// orphaned) are packed after them in ascending id order. Rebuilt, with
-    /// a matching storage permutation, whenever `fail_round` repairs the
-    /// tree.
+    /// Per-node telemetry histograms in wave-slot order (always on; see
+    /// [`SlotHists`]).
+    hists: SlotHists,
+    /// Node id → histogram storage slot (see [`SlotHists`]). Tree nodes
+    /// map to their `bottom_up` position; nodes outside the routing tree
+    /// (dead or orphaned) are packed after them in ascending id order.
+    /// Rebuilt, with a matching storage permutation, whenever the tree is
+    /// repaired or rebuilt.
     hist_slot: Vec<u32>,
-    /// Histogram hot cache: one run-length [`HistDelta`] cell per
-    /// `(wave slot, HistKind)`, slot-major. The wave engines record through
-    /// these cells ([`record_hot`]) so repeated per-node samples touch 16
-    /// bytes instead of the full histogram block; [`Network::histograms`]
-    /// folds pending runs into its snapshot and [`Network::fail_round`]
-    /// flushes them before re-permuting slots.
-    hist_hot: Vec<HistDelta>,
     /// Wall-clock span recorder (off by default; see
     /// [`Network::set_telemetry`]).
     recorder: Recorder,
@@ -224,154 +281,9 @@ pub struct Network {
     /// Per-wave scratch: delivered-child-payload counts for the fan-in
     /// histogram (cleared each convergecast; no steady-state allocation).
     fanin: Vec<u32>,
-    /// Parallel-wave scratch (group-major): payload bits each sender put on
-    /// air, recorded by the workers and replayed sequentially.
-    wave_bits: Vec<u64>,
-    /// Parallel-wave scratch (group-major): value counts per sender.
-    wave_vals: Vec<u32>,
-    /// Parallel-wave scratch (group-major): which nodes sent at all.
-    wave_sent: Vec<bool>,
-    /// Worker threads for within-run wave parallelism (see
-    /// [`Network::set_wave_workers`]); `1` = sequential.
-    wave_workers: usize,
     /// Reusable reception mask for [`Network::broadcast`]; steady-state
     /// broadcasts perform no heap allocation.
     bcast_recv: NodeBits,
-}
-
-/// Sends one logical payload over the single link `from → to`, charging
-/// energy/stats through split field borrows so the wave engines can iterate
-/// the routing tree in place. Returns whether the *entire* payload (every
-/// fragment) arrived.
-///
-/// Without a loss model the link is perfect: the payload is charged in one
-/// piece and always arrives (ARQ never acts — there is nothing to
-/// retransmit, and link-layer ACKs are not modelled on reliable links).
-/// With a loss model every 802.15.4 fragment is lost independently (a
-/// ten-fragment histogram really is more fragile than a one-value payload)
-/// and, when `arq_retries > 0`, each data frame is acknowledged and
-/// retransmitted up to the budget. Retries and ACKs are charged to the
-/// ledger like any other traffic; ACK frames count towards bits on air but
-/// not towards the message count (§5.1 counts data messages).
-#[allow(clippy::too_many_arguments)]
-fn send_over_link(
-    topo: &Topology,
-    model: &RadioModel,
-    sizes: &MessageSizes,
-    ledger: &mut EnergyLedger,
-    stats: &mut TrafficStats,
-    rel: &mut ReliabilityStats,
-    loss: &mut Option<LossModel>,
-    phase: Phase,
-    phases: &mut PhaseBreakdown,
-    lane: u32,
-    lanes: &mut LaneBook,
-    audit: &mut AuditLog,
-    hists: &mut NodeHistograms,
-    hot: &mut [HistDelta],
-    rec: &mut Recorder,
-    arq_retries: u32,
-    from: NodeId,
-    // Histogram storage slot of `from` (histograms live in wave-slot
-    // order; see `Network::hists`).
-    from_slot: usize,
-    to: NodeId,
-    payload_bits: u64,
-    values: usize,
-) -> bool {
-    let range = topo.radio_range();
-    let span = rec.start();
-    let round = audit.round();
-    stats.values += values as u64;
-    let Some(loss) = loss.as_mut() else {
-        let (fragments, total_bits) = sizes.fragment(payload_bits);
-        let tx = model.tx_energy(total_bits, range);
-        let rx = model.rx_energy(total_bits);
-        ledger.charge_tx(from, tx);
-        // The receiver listens according to its schedule, so it pays for
-        // the reception even if the message is corrupted.
-        ledger.charge(to, rx);
-        stats.messages += fragments;
-        stats.bits += total_bits;
-        phases.charge(phase, fragments, total_bits, tx + rx);
-        lanes.charge(lane, phase, fragments, total_bits, tx + rx);
-        audit.record(phase, TxKind::Data, from, to, fragments, total_bits, tx, rx);
-        for frag_bits in sizes.fragment_bits(payload_bits) {
-            record_hot(hot, hists, from_slot, HistKind::MsgBits, frag_bits);
-        }
-        record_hot(hot, hists, from_slot, HistKind::Retries, 0);
-        rel.delivered += 1;
-        rec.end(phase.name(), from.0 + 1, round, span);
-        return true;
-    };
-    let mut all_arrived = true;
-    let mut link_retries = 0u64;
-    for frag_bits in sizes.fragment_bits(payload_bits) {
-        let mut frag_arrived = false;
-        let mut attempt = 0u32;
-        loop {
-            let tx = model.tx_energy(frag_bits, range);
-            let rx = model.rx_energy(frag_bits);
-            ledger.charge_tx(from, tx);
-            ledger.charge(to, rx);
-            stats.messages += 1;
-            stats.bits += frag_bits;
-            phases.charge(phase, 1, frag_bits, tx + rx);
-            lanes.charge(lane, phase, 1, frag_bits, tx + rx);
-            audit.record(phase, TxKind::Data, from, to, 1, frag_bits, tx, rx);
-            record_hot(hot, hists, from_slot, HistKind::MsgBits, frag_bits);
-            if attempt > 0 {
-                rel.retransmissions += 1;
-                link_retries += 1;
-                rec.instant("arq_retry", from.0 + 1, round);
-            }
-            let arrived = !loss.lose();
-            frag_arrived |= arrived;
-            if arq_retries == 0 {
-                // Fire-and-forget: the plain lossy path, no ACKs on air.
-                break;
-            }
-            if arrived {
-                // Immediate ACK `to → from`. A lost ACK burns a retry on a
-                // harmless duplicate — the data is already through.
-                let ack_tx = model.tx_energy(sizes.ack_bits, range);
-                let ack_rx = model.rx_energy(sizes.ack_bits);
-                ledger.charge_tx(to, ack_tx);
-                ledger.charge(from, ack_rx);
-                stats.bits += sizes.ack_bits;
-                // ACKs hit bits-on-air but not the data-message count.
-                phases.charge(phase, 0, sizes.ack_bits, ack_tx + ack_rx);
-                lanes.charge(lane, phase, 0, sizes.ack_bits, ack_tx + ack_rx);
-                audit.record(
-                    phase,
-                    TxKind::Ack,
-                    to,
-                    from,
-                    1,
-                    sizes.ack_bits,
-                    ack_tx,
-                    ack_rx,
-                );
-                rel.acks += 1;
-                if !loss.lose() {
-                    break;
-                }
-            }
-            if attempt >= arq_retries {
-                break;
-            }
-            attempt += 1;
-        }
-        all_arrived &= frag_arrived;
-    }
-    record_hot(hot, hists, from_slot, HistKind::Retries, link_retries);
-    if all_arrived {
-        rel.delivered += 1;
-    } else {
-        rel.dropped += 1;
-    }
-    rec.end(phase.name(), from.0 + 1, round, span);
-    all_arrived
 }
 
 /// Builds the node-id → histogram-slot map for `tree` (see
@@ -410,26 +322,83 @@ struct HistDelta {
     repeat: u64,
 }
 
-/// Records one histogram sample through the hot cache: extends the cell's
-/// run when the value repeats, otherwise flushes the old run into `hists`
-/// and starts a new one. `hot` is slot-major — the four kinds of wave slot
-/// `s` live at `s * HistKind::COUNT ..`, matching `hists` slot order.
-#[inline(always)]
-fn record_hot(
-    hot: &mut [HistDelta],
-    hists: &mut NodeHistograms,
-    slot: usize,
-    kind: HistKind,
-    value: u64,
-) {
-    let cell = &mut hot[slot * HistKind::COUNT + kind.index()];
-    if cell.repeat != 0 && cell.value == value {
-        cell.repeat += 1;
-    } else {
-        if cell.repeat != 0 {
-            hists.record_n(slot, kind, cell.value, cell.repeat);
+/// Per-node telemetry histograms (message bits, hop depth, ARQ retries,
+/// fan-in), stored in *wave-slot* order — slot `s` belongs to the node at
+/// `tree.bottom_up()[s]` — so the wave engines touch the 1.1 kB histogram
+/// blocks in exactly their iteration order, fronted by a run-length
+/// [`HistDelta`] hot cache. [`Network::histograms`] assembles the
+/// id-ordered view.
+#[derive(Debug, Clone)]
+struct SlotHists {
+    store: NodeHistograms,
+    /// One cell per `(wave slot, HistKind)`, slot-major: the four kinds of
+    /// slot `s` live at `s * HistKind::COUNT ..`.
+    hot: Vec<HistDelta>,
+}
+
+impl SlotHists {
+    fn new(n: usize) -> Self {
+        SlotHists {
+            store: NodeHistograms::new(n),
+            hot: vec![HistDelta::default(); n * HistKind::COUNT],
         }
-        *cell = HistDelta { value, repeat: 1 };
+    }
+
+    /// Records one sample through the hot cache: extends the cell's run
+    /// when the value repeats, otherwise flushes the old run into the
+    /// store and starts a new one.
+    #[inline(always)]
+    fn record(&mut self, slot: usize, kind: HistKind, value: u64) {
+        let cell = &mut self.hot[slot * HistKind::COUNT + kind.index()];
+        if cell.repeat != 0 && cell.value == value {
+            cell.repeat += 1;
+        } else {
+            if cell.repeat != 0 {
+                self.store.record_n(slot, kind, cell.value, cell.repeat);
+            }
+            *cell = HistDelta { value, repeat: 1 };
+        }
+    }
+
+    /// Records the message-size samples of one transmission: one per
+    /// 802.15.4 fragment of a solo `payload_bits` payload or, given the
+    /// `(fragments, bits)` a shared-frame send newly put on air, one per
+    /// new frame at the per-frame average (so the sample count still
+    /// equals the message count).
+    fn record_frames(
+        &mut self,
+        slot: usize,
+        sizes: &MessageSizes,
+        payload_bits: u64,
+        shared: Option<(u64, u64)>,
+    ) {
+        match shared {
+            Some((fragments, bits)) => {
+                for _ in 0..fragments {
+                    self.record(slot, HistKind::MsgBits, bits / fragments.max(1));
+                }
+            }
+            None => {
+                for frag_bits in sizes.fragment_bits(payload_bits) {
+                    self.record(slot, HistKind::MsgBits, frag_bits);
+                }
+            }
+        }
+    }
+
+    /// Applies every pending run of `hot` to `into` (exact; see
+    /// [`HistDelta`]).
+    fn fold_pending(hot: &[HistDelta], into: &mut NodeHistograms) {
+        for (i, cell) in hot.iter().enumerate() {
+            if cell.repeat != 0 {
+                into.record_n(
+                    i / HistKind::COUNT,
+                    HistKind::ALL[i % HistKind::COUNT],
+                    cell.value,
+                    cell.repeat,
+                );
+            }
+        }
     }
 }
 
@@ -444,10 +413,10 @@ fn record_hot(
 /// `fragment` cost bit for bit, so enabling sharing never *increases* any
 /// link's traffic and single-query rounds are unchanged.
 ///
-/// Sharing applies only on lossless wave paths (the sequential fast path,
-/// the parallel engine's accounting replay, and lossless broadcasts);
-/// lossy/ARQ traffic keeps solo per-payload framing, which only
-/// over-approximates — the inequality "shared ≤ solo" still holds.
+/// Sharing applies only on lossless wave paths (untelemetered convergecast
+/// sends and lossless broadcasts); lossy/ARQ traffic keeps solo per-payload
+/// framing, which only over-approximates — the inequality "shared ≤ solo"
+/// still holds.
 #[derive(Debug, Clone, Default)]
 struct SharedWave {
     enabled: bool,
@@ -487,6 +456,129 @@ impl SharedWave {
     }
 }
 
+/// Everything a link send touches, borrowed field by field from the
+/// [`Network`] (see [`Network::wire`]) so the wave engines can walk the
+/// routing tree in place while they charge.
+struct Wire<'a> {
+    sizes: &'a MessageSizes,
+    /// Per-bit transmit cost at the radio range: `tx_energy(b, range)` is
+    /// exactly `b as f64 * tx_coef` (see [`RadioModel::tx_coef`]), so the
+    /// `powf` is paid once per wave.
+    tx_coef: f64,
+    /// Per-bit receive cost (`rx_energy(b) == b as f64 * rx_coef`).
+    rx_coef: f64,
+    reliability: ReliabilityConfig,
+    loss: &'a mut Option<LossModel>,
+    books: &'a mut Books,
+    rel: &'a mut ReliabilityStats,
+    hists: &'a mut SlotHists,
+    share: &'a mut SharedWave,
+    rec: &'a mut Recorder,
+}
+
+impl Wire<'_> {
+    /// Sends one logical payload over the single link `from → to`
+    /// (`from_slot` is the sender's histogram slot) and returns whether the
+    /// *entire* payload (every fragment) arrived.
+    ///
+    /// Without a loss model the link is perfect: the payload is charged in
+    /// one piece and always arrives (ARQ never acts — there is nothing to
+    /// retransmit, and link-layer ACKs are not modelled on reliable links).
+    /// With `shared` it is framed into the link's shared frames for the
+    /// round (see [`SharedWave`]). With a loss model every 802.15.4
+    /// fragment is lost independently (a ten-fragment histogram really is
+    /// more fragile than a one-value payload) and, with ARQ retries
+    /// configured, each data frame is acknowledged and retransmitted up to
+    /// the budget. Retries and ACKs are charged like any other traffic;
+    /// ACK frames count towards bits on air but not towards the message
+    /// count (§5.1 counts data messages).
+    fn send(
+        &mut self,
+        from: NodeId,
+        from_slot: usize,
+        to: NodeId,
+        payload_bits: u64,
+        values: usize,
+        shared: bool,
+    ) -> bool {
+        let sizes = self.sizes;
+        let (tx_coef, rx_coef) = (self.tx_coef, self.rx_coef);
+        let span = self.rec.start();
+        let round = self.books.audit.round();
+        self.books.stats.values += values as u64;
+        let Some(loss) = self.loss.as_mut() else {
+            let (fragments, total_bits) = if shared {
+                SharedWave::frame(&mut self.share.up[from.index()], payload_bits, sizes)
+            } else {
+                sizes.fragment(payload_bits)
+            };
+            // The receiver listens according to its schedule, so it pays
+            // for the reception even if the message is corrupted.
+            let (tx, rx) = (total_bits as f64 * tx_coef, total_bits as f64 * rx_coef);
+            self.books
+                .charge(TxKind::Data, from, to, fragments, total_bits, tx, rx);
+            let frames = shared.then_some((fragments, total_bits));
+            self.hists
+                .record_frames(from_slot, sizes, payload_bits, frames);
+            self.hists.record(from_slot, HistKind::Retries, 0);
+            self.rel.delivered += 1;
+            self.rec
+                .end(self.books.phase.name(), from.0 + 1, round, span);
+            return true;
+        };
+        let arq_retries = self.reliability.max_retries;
+        let mut all_arrived = true;
+        let mut link_retries = 0u64;
+        for frag_bits in sizes.fragment_bits(payload_bits) {
+            let mut frag_arrived = false;
+            let mut attempt = 0u32;
+            loop {
+                let (tx, rx) = (frag_bits as f64 * tx_coef, frag_bits as f64 * rx_coef);
+                self.books
+                    .charge(TxKind::Data, from, to, 1, frag_bits, tx, rx);
+                self.hists.record(from_slot, HistKind::MsgBits, frag_bits);
+                if attempt > 0 {
+                    self.rel.retransmissions += 1;
+                    link_retries += 1;
+                    self.rec.instant("arq_retry", from.0 + 1, round);
+                }
+                let arrived = !loss.lose();
+                frag_arrived |= arrived;
+                if arq_retries == 0 {
+                    // Fire-and-forget: the plain lossy path, no ACKs on air.
+                    break;
+                }
+                if arrived {
+                    // Immediate ACK `to → from`. A lost ACK burns a retry on
+                    // a harmless duplicate — the data is already through.
+                    let ack = sizes.ack_bits;
+                    let (tx, rx) = (ack as f64 * tx_coef, ack as f64 * rx_coef);
+                    self.books.charge(TxKind::Ack, to, from, 1, ack, tx, rx);
+                    self.rel.acks += 1;
+                    if !loss.lose() {
+                        break;
+                    }
+                }
+                if attempt >= arq_retries {
+                    break;
+                }
+                attempt += 1;
+            }
+            all_arrived &= frag_arrived;
+        }
+        self.hists
+            .record(from_slot, HistKind::Retries, link_retries);
+        if all_arrived {
+            self.rel.delivered += 1;
+        } else {
+            self.rel.dropped += 1;
+        }
+        self.rec
+            .end(self.books.phase.name(), from.0 + 1, round, span);
+        all_arrived
+    }
+}
+
 impl Network {
     /// Assembles a network from its parts.
     pub fn new(topo: Topology, tree: RoutingTree, model: RadioModel, sizes: MessageSizes) -> Self {
@@ -496,13 +588,12 @@ impl Network {
             panic!("invalid MessageSizes: {e}");
         }
         let hist_slot = hist_slots(&tree, n);
-        Network {
+        let mut net = Network {
             topo,
             tree,
             model,
             sizes,
-            ledger: EnergyLedger::new(n),
-            stats: TrafficStats::default(),
+            books: Books::new(n),
             loss: None,
             reliability: ReliabilityConfig::default(),
             rel_stats: ReliabilityStats::default(),
@@ -510,49 +601,60 @@ impl Network {
             failures: None,
             alive: vec![true; n],
             duty_milli: 0,
-            phase: Phase::default(),
-            phases: PhaseBreakdown::default(),
-            lane: 0,
-            lanes: {
-                let mut book = LaneBook::default();
-                // Pre-size lane 0 so default (single-lane) runs never
-                // allocate on the warm path.
-                book.charge(0, Phase::Other, 0, 0, 0.0);
-                book
-            },
             share: SharedWave::default(),
             round_hold: false,
-            audit: AuditLog::default(),
             scratch: ScratchPool::default(),
-            hists: NodeHistograms::new(n),
+            hists: SlotHists::new(n),
             hist_slot,
-            hist_hot: vec![HistDelta::default(); n * HistKind::COUNT],
             recorder: Recorder::default(),
             round_start: SpanStart::default(),
             phase_start: SpanStart::default(),
             fanin: Vec::new(),
-            wave_bits: Vec::new(),
-            wave_vals: Vec::new(),
-            wave_sent: Vec::new(),
-            wave_workers: 1,
             bcast_recv: NodeBits::new(),
-        }
+        };
+        // Pre-size lane 0 so default (single-lane) runs never allocate on
+        // the warm path.
+        net.set_lane(0);
+        net
     }
 
-    /// Sets the number of worker threads used *within* convergecast waves:
-    /// disjoint root subtrees are aggregated concurrently and every
-    /// ledger/stats/audit/histogram update is then replayed in the exact
-    /// sequential wave order, so results are **bit-identical at any worker
-    /// count**. Parallelism only engages on lossless waves driven through
-    /// [`Network::convergecast_slots`] with the span recorder off; all
-    /// other paths fall back to the (identical) sequential engine.
-    pub fn set_wave_workers(&mut self, workers: usize) {
-        self.wave_workers = workers.max(1);
-    }
+    /// Accepted and ignored: waves always run on the caller's thread. Kept
+    /// only because the frozen benchmark in `perfbench/src/world.rs` still
+    /// calls it; nothing in the workspace may.
+    #[doc(hidden)]
+    pub fn set_wave_workers(&mut self, _workers: usize) {}
 
-    /// The configured within-wave worker count.
-    pub fn wave_workers(&self) -> usize {
-        self.wave_workers
+    /// Splits the network into the routing tree (read) and the [`Wire`]
+    /// every send charges through (written), so a wave can walk the tree
+    /// in place.
+    fn wire(&mut self) -> (&RoutingTree, Wire<'_>) {
+        let Network {
+            tree,
+            topo,
+            model,
+            sizes,
+            reliability,
+            loss,
+            books,
+            rel_stats,
+            hists,
+            share,
+            recorder,
+            ..
+        } = self;
+        let wire = Wire {
+            sizes,
+            tx_coef: model.tx_coef(topo.radio_range()),
+            rx_coef: model.rx_coef(),
+            reliability: *reliability,
+            loss,
+            books,
+            rel: rel_stats,
+            hists,
+            share,
+            rec: recorder,
+        };
+        (tree, wire)
     }
 
     /// Sets the protocol phase that subsequent traffic is attributed to
@@ -560,22 +662,26 @@ impl Network {
     /// step boundary; the phase sticks until changed. With telemetry on, a
     /// phase change closes the open phase span and opens the next.
     pub fn set_phase(&mut self, phase: Phase) {
-        if phase != self.phase && self.recorder.is_enabled() {
-            self.recorder
-                .end(self.phase.name(), 0, self.audit.round(), self.phase_start);
+        if phase != self.books.phase && self.recorder.is_enabled() {
+            self.recorder.end(
+                self.books.phase.name(),
+                0,
+                self.books.audit.round(),
+                self.phase_start,
+            );
             self.phase_start = self.recorder.start();
         }
-        self.phase = phase;
+        self.books.phase = phase;
     }
 
     /// The phase currently charged for traffic.
     pub fn phase(&self) -> Phase {
-        self.phase
+        self.books.phase
     }
 
     /// Per-phase traffic/energy attribution since construction.
     pub fn phases(&self) -> &PhaseBreakdown {
-        &self.phases
+        &self.books.phases
     }
 
     /// Sets the service lane (query slot) that subsequent traffic is
@@ -584,22 +690,16 @@ impl Network {
     /// runner sets this before executing each query's waves so per-query
     /// charges stay bit-exact.
     pub fn set_lane(&mut self, lane: u32) {
-        self.lane = lane;
-        self.audit.set_lane(lane);
+        self.books.lane = lane;
         // Pre-size the book outside the hot path, so switching lanes never
         // allocates mid-wave.
-        self.lanes.charge(lane, Phase::Other, 0, 0, 0.0);
-    }
-
-    /// The lane currently charged for traffic.
-    pub fn lane(&self) -> u32 {
-        self.lane
+        self.books.lanes.charge(lane, Phase::Other, 0, 0, 0.0);
     }
 
     /// Per-lane traffic/energy attribution since construction (lane 0
     /// holds everything unless [`Network::set_lane`] was used).
     pub fn lane_book(&self) -> &LaneBook {
-        &self.lanes
+        &self.books.lanes
     }
 
     /// Enables or disables shared-frame packing for multi-query rounds
@@ -617,11 +717,6 @@ impl Network {
             self.share.down.resize(n, 0);
         }
         self.share.reset();
-    }
-
-    /// Whether shared-frame packing is active.
-    pub fn shared_frames(&self) -> bool {
-        self.share.enabled
     }
 
     /// Holds or releases round boundaries. While held, protocol-internal
@@ -645,12 +740,12 @@ impl Network {
     /// any traffic flows: [`crate::audit::EnergyAuditor::verify`] can only
     /// reconcile a ledger whose every charge was witnessed.
     pub fn set_audit(&mut self, on: bool) {
-        self.audit.set_enabled(on);
+        self.books.audit.set_enabled(on);
     }
 
     /// The transmission log (empty unless auditing is enabled).
     pub fn audit_log(&self) -> &AuditLog {
-        &self.audit
+        &self.books.audit
     }
 
     /// Enables or disables wall-clock span recording (rounds, phases,
@@ -664,11 +759,6 @@ impl Network {
         self.phase_start = self.recorder.start();
     }
 
-    /// Whether span recording is active.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.recorder.is_enabled()
-    }
-
     /// The span recorder (its events feed [`wsn_obs::export::chrome_trace`]).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
@@ -680,19 +770,10 @@ impl Network {
     /// order for locality; this assembles an id-ordered copy (index `i` =
     /// node `i`), so call it per run, not per round.
     pub fn histograms(&self) -> NodeHistograms {
-        let mut out = self.hists.clone();
+        let mut out = self.hists.store.clone();
         // Fold the hot cache's pending runs into the snapshot (the live
-        // cells stay put — this is a read). Exact: see [`HistDelta`].
-        for (i, cell) in self.hist_hot.iter().enumerate() {
-            if cell.repeat != 0 {
-                out.record_n(
-                    i / HistKind::COUNT,
-                    HistKind::ALL[i % HistKind::COUNT],
-                    cell.value,
-                    cell.repeat,
-                );
-            }
-        }
+        // cells stay put — this is a read).
+        SlotHists::fold_pending(&self.hists.hot, &mut out);
         out.reindex(|id| self.hist_slot[id] as usize);
         out
     }
@@ -700,9 +781,8 @@ impl Network {
     /// The packet capture of the run so far (requires
     /// [`Network::set_audit`] before traffic flows; empty otherwise).
     pub fn capture(&self) -> Vec<PacketRecord> {
-        self.audit.capture()
+        self.books.audit.capture()
     }
-
     /// Enables Bernoulli message loss (the §6 future-work extension).
     /// Without a reliability layer, protocols are *not* informed of losses;
     /// the resulting rank error is what the loss experiments measure. With
@@ -801,23 +881,17 @@ impl Network {
         let n = self.len();
         // Flush the hot cache first: its cells are keyed by the *old*
         // wave slots, which the permutation below is about to re-map.
-        for (i, cell) in self.hist_hot.iter_mut().enumerate() {
-            if cell.repeat != 0 {
-                self.hists.record_n(
-                    i / HistKind::COUNT,
-                    HistKind::ALL[i % HistKind::COUNT],
-                    cell.value,
-                    cell.repeat,
-                );
-                *cell = HistDelta::default();
-            }
-        }
+        let hists = &mut self.hists;
+        SlotHists::fold_pending(&hists.hot, &mut hists.store);
+        hists.hot.fill(HistDelta::default());
         let old = std::mem::replace(&mut self.hist_slot, hist_slots(&tree, n));
         let mut id_of_slot = vec![0u32; n];
         for (id, &s) in self.hist_slot.iter().enumerate() {
             id_of_slot[s as usize] = id as u32;
         }
-        self.hists.reindex(|s| old[id_of_slot[s] as usize] as usize);
+        hists
+            .store
+            .reindex(|s| old[id_of_slot[s] as usize] as usize);
         self.tree = tree;
         self.rel_stats.orphaned_nodes = orphans as u64;
     }
@@ -867,35 +941,15 @@ impl Network {
         // Beacon wave over the new tree, lossless by construction.
         let saved_loss = self.loss.take();
         let beacon_bits = self.sizes.counter_bits;
-        for s in 0..self.tree.tree_size() {
-            let u = self.tree.bottom_up()[s];
-            let Some(parent) = self.tree.parent(u) else {
-                continue; // the root reports to no one
-            };
-            send_over_link(
-                &self.topo,
-                &self.model,
-                &self.sizes,
-                &mut self.ledger,
-                &mut self.stats,
-                &mut self.rel_stats,
-                &mut self.loss,
-                Phase::Rebuild,
-                &mut self.phases,
-                self.lane,
-                &mut self.lanes,
-                &mut self.audit,
-                &mut self.hists,
-                &mut self.hist_hot,
-                &mut self.recorder,
-                0,
-                u,
-                s,
-                parent,
-                beacon_bits,
-                0,
-            );
+        let (tree, mut wire) = self.wire();
+        let sticky = std::mem::replace(&mut wire.books.phase, Phase::Rebuild);
+        for (s, &u) in tree.bottom_up().iter().enumerate() {
+            // The root reports to no one.
+            if let Some(parent) = tree.parent(u) {
+                wire.send(u, s, parent, beacon_bits, 0, false);
+            }
         }
+        wire.books.phase = sticky;
         self.loss = saved_loss;
         orphan_count
     }
@@ -971,12 +1025,12 @@ impl Network {
 
     /// The energy ledger (read access for metrics).
     pub fn ledger(&self) -> &EnergyLedger {
-        &self.ledger
+        &self.books.ledger
     }
 
     /// Cumulative traffic statistics.
     pub fn stats(&self) -> &TrafficStats {
-        &self.stats
+        &self.books.stats
     }
 
     /// Marks the end of a protocol round in the ledger (and, when auditing,
@@ -987,7 +1041,7 @@ impl Network {
         if self.round_hold {
             return;
         }
-        let round = self.audit.round();
+        let round = self.books.audit.round();
         if self.share.enabled {
             self.share.reset();
         }
@@ -1000,67 +1054,23 @@ impl Network {
             // charge as a `TxKind::Idle` event with `src == dst`.
             let bits = self.duty_milli as u64;
             let rx = self.model.rx_energy(bits);
-            for i in 1..self.alive.len() {
-                if !self.alive[i] {
-                    continue;
+            let sticky = std::mem::replace(&mut self.books.phase, Phase::Other);
+            for (i, &alive) in self.alive.iter().enumerate().skip(1) {
+                if alive {
+                    let id = NodeId(i as u32);
+                    self.books.charge(TxKind::Idle, id, id, 0, bits, 0.0, rx);
                 }
-                let id = NodeId(i as u32);
-                self.ledger.charge(id, rx);
-                self.phases.charge(Phase::Other, 0, 0, rx);
-                self.lanes.charge(self.lane, Phase::Other, 0, 0, rx);
-                self.audit
-                    .record(Phase::Other, TxKind::Idle, id, id, 0, bits, 0.0, rx);
             }
+            self.books.phase = sticky;
         }
-        self.ledger.end_round();
-        self.audit.end_round(
-            self.ledger.consumed_per_node(),
-            self.ledger.consumed_tx_per_node(),
-        );
+        self.books.end_round();
         if self.recorder.is_enabled() {
             self.recorder
-                .end(self.phase.name(), 0, round, self.phase_start);
+                .end(self.books.phase.name(), 0, round, self.phase_start);
             self.recorder.end("round", 0, round, self.round_start);
             self.round_start = self.recorder.start();
             self.phase_start = self.recorder.start();
         }
-    }
-
-    /// Charges one unicast transmission of `payload_bits` from `from` to its
-    /// parent, with fragmentation, and returns whether the (entire) payload
-    /// arrived. Used internally and exposed for custom protocol steps.
-    pub fn charge_unicast_up(&mut self, from: NodeId, payload_bits: u64, values: usize) -> bool {
-        let to = self
-            .tree
-            .parent(from)
-            .expect("root has no parent to send to");
-        let from_slot = self
-            .tree
-            .wave_slot(from)
-            .expect("sender with a parent is in the tree");
-        send_over_link(
-            &self.topo,
-            &self.model,
-            &self.sizes,
-            &mut self.ledger,
-            &mut self.stats,
-            &mut self.rel_stats,
-            &mut self.loss,
-            self.phase,
-            &mut self.phases,
-            self.lane,
-            &mut self.lanes,
-            &mut self.audit,
-            &mut self.hists,
-            &mut self.hist_hot,
-            &mut self.recorder,
-            self.reliability.max_retries,
-            from,
-            from_slot,
-            to,
-            payload_bits,
-            values,
-        )
     }
 
     /// Runs a convergecast. `local` yields each *sensor* node's own
@@ -1076,6 +1086,7 @@ impl Network {
     /// Runs a convergecast where every sending node may prune/transform the
     /// merged payload before forwarding it (`prune` receives the node id and
     /// the payload about to be sent — or, at the root, the final payload).
+    /// `local` is called once per sensor in the tree, in wave order.
     ///
     /// Pruning at the root is deliberate: the root applies the same logic
     /// (e.g. keeping the `f` largest values) when consuming the data.
@@ -1084,58 +1095,26 @@ impl Network {
         mut local: impl FnMut(NodeId) -> Option<T>,
         mut prune: impl FnMut(NodeId, &mut T),
     ) -> Option<T> {
-        self.stats.convergecasts += 1;
-        self.wave.clear();
+        self.books.stats.convergecasts += 1;
         let tsize = self.tree.tree_size();
-        let mut inbox = self.scratch.take_buf::<T>(tsize, scratch_role::INBOX);
-
-        // Split field borrows: the traversal reads the tree while the
-        // charging mutates ledger/stats/loss, so the wave walks
-        // `bottom_up()` in place instead of cloning the order.
-        let Network {
-            tree,
-            topo,
-            model,
-            sizes,
-            ledger,
-            stats,
-            loss,
-            reliability,
-            rel_stats,
-            wave,
-            phase,
-            phases,
-            lane,
-            lanes,
-            share,
-            audit,
-            hists,
-            hist_hot,
-            recorder,
-            fanin,
-            ..
-        } = self;
-        let arq = reliability.max_retries;
-        let phase = *phase;
-        let lane = *lane;
-        let wave_span = recorder.start();
-        let round = audit.round();
+        let mut inbox = self.scratch.take_buf::<T>(tsize);
+        // Detach the per-wave report and fan-in scratch (no allocation) so
+        // they stay writable next to the wire's split borrows.
+        let mut wave = std::mem::take(&mut self.wave);
+        let mut fanin = std::mem::take(&mut self.fanin);
+        wave.clear();
         fanin.clear();
         fanin.resize(tsize, 0);
 
+        let (tree, mut wire) = self.wire();
+        let wave_span = wire.rec.start();
+        let round = wire.books.audit.round();
         let order = tree.bottom_up();
         let parent_slot = tree.parent_slots();
         let level_offsets = tree.level_offsets();
-        // Hoisted per-bit energy coefficients: bit-exact against
-        // `tx_energy`/`rx_energy` (see [`RadioModel::tx_coef`]), so the
-        // `powf` leaves the per-sender path.
-        let tx_coef = model.tx_coef(topo.radio_range());
-        let rx_coef = model.rx_coef();
-        // On a perfect channel with the span recorder off, every link send
-        // is the same straight-line accounting sequence: inline it and keep
-        // `send_over_link` for the lossy/telemetered cases. The inlined
-        // block below mirrors its lossless branch statement for statement.
-        let fast = loss.is_none() && !recorder.is_enabled();
+        // Shared framing applies to wave sends on a perfect channel with
+        // the span recorder off; a telemetered run frames every send solo.
+        let shared = wire.share.enabled && wire.loss.is_none() && !wire.rec.is_enabled();
 
         // (holder, origin, payload): payloads that died on a link, stashed
         // at the last node that held them so the recovery passes can resume
@@ -1176,89 +1155,20 @@ impl Network {
                 };
                 prune(u, &mut payload);
                 wave.senders += 1;
-                record_hot(hist_hot, hists, pos, HistKind::HopDepth, depth);
-                record_hot(hist_hot, hists, pos, HistKind::FanIn, merged_in);
-                let bits = payload.payload_bits(sizes);
+                wire.hists.record(pos, HistKind::HopDepth, depth);
+                wire.hists.record(pos, HistKind::FanIn, merged_in);
+                let bits = payload.payload_bits(wire.sizes);
                 let pslot = parent_slot[pos] as usize;
                 let parent = order[pslot];
-                let arrived = if fast {
-                    stats.values += payload.value_count() as u64;
-                    let (fragments, total_bits) = if share.enabled {
-                        SharedWave::frame(&mut share.up[u.index()], bits, sizes)
-                    } else {
-                        sizes.fragment(bits)
-                    };
-                    let tx = total_bits as f64 * tx_coef;
-                    let rx = total_bits as f64 * rx_coef;
-                    ledger.charge_tx(u, tx);
-                    ledger.charge(parent, rx);
-                    stats.messages += fragments;
-                    stats.bits += total_bits;
-                    phases.charge(phase, fragments, total_bits, tx + rx);
-                    lanes.charge(lane, phase, fragments, total_bits, tx + rx);
-                    audit.record(
-                        phase,
-                        TxKind::Data,
-                        u,
-                        parent,
-                        fragments,
-                        total_bits,
-                        tx,
-                        rx,
-                    );
-                    if share.enabled {
-                        // Marginal frames under sharing: one sample per new
-                        // frame (keeps the MsgBits-count == messages
-                        // invariant; sizes are the per-frame average).
-                        for _ in 0..fragments {
-                            record_hot(
-                                hist_hot,
-                                hists,
-                                pos,
-                                HistKind::MsgBits,
-                                total_bits / fragments.max(1),
-                            );
-                        }
-                    } else {
-                        for frag_bits in sizes.fragment_bits(bits) {
-                            record_hot(hist_hot, hists, pos, HistKind::MsgBits, frag_bits);
-                        }
-                    }
-                    record_hot(hist_hot, hists, pos, HistKind::Retries, 0);
-                    rel_stats.delivered += 1;
-                    true
-                } else {
-                    send_over_link(
-                        topo,
-                        model,
-                        sizes,
-                        ledger,
-                        stats,
-                        rel_stats,
-                        loss,
-                        phase,
-                        phases,
-                        lane,
-                        lanes,
-                        audit,
-                        hists,
-                        hist_hot,
-                        recorder,
-                        arq,
-                        u,
-                        pos,
-                        parent,
-                        bits,
-                        payload.value_count(),
-                    )
-                };
+                let values = payload.value_count();
+                let arrived = wire.send(u, pos, parent, bits, values, shared);
                 if arrived {
                     fanin[pslot] += 1;
                     match &mut inbox[pslot] {
                         Some(existing) => existing.merge(payload),
                         None => inbox[pslot] = Some(payload),
                     }
-                } else if reliability.recovery_passes > 0 {
+                } else if wire.reliability.recovery_passes > 0 {
                     stranded.push((u, u, payload));
                 } else {
                     wave.dropped_roots.push(u);
@@ -1272,43 +1182,21 @@ impl Network {
         // root hop by hop, each hop a fresh (ARQ-protected) transmission.
         // Recovered payloads merge directly into the root's aggregate —
         // the intermediate nodes already forwarded their own wave upward.
+        // Recovery climbs are reliability traffic, whatever phase stranded
+        // the payload.
+        let sticky = std::mem::replace(&mut wire.books.phase, Phase::Recovery);
         let mut pass = 0;
-        while !stranded.is_empty() && pass < reliability.recovery_passes {
+        while !stranded.is_empty() && pass < wire.reliability.recovery_passes {
             pass += 1;
             let mut still = Vec::new();
             for (start, origin, payload) in stranded {
-                let bits = payload.payload_bits(sizes);
+                let bits = payload.payload_bits(wire.sizes);
                 let values = payload.value_count();
                 let mut at = start;
                 let delivered = loop {
                     let parent = tree.parent(at).expect("stranded below the root");
                     let at_slot = tree.wave_slot(at).expect("stranded node is in the tree");
-                    // Recovery climbs are reliability traffic, whatever
-                    // phase stranded the payload.
-                    let arrived = send_over_link(
-                        topo,
-                        model,
-                        sizes,
-                        ledger,
-                        stats,
-                        rel_stats,
-                        loss,
-                        Phase::Recovery,
-                        phases,
-                        lane,
-                        lanes,
-                        audit,
-                        hists,
-                        hist_hot,
-                        recorder,
-                        arq,
-                        at,
-                        at_slot,
-                        parent,
-                        bits,
-                        values,
-                    );
-                    if !arrived {
+                    if !wire.send(at, at_slot, parent, bits, values, false) {
                         break false;
                     }
                     if parent.is_root() {
@@ -1317,7 +1205,7 @@ impl Network {
                     at = parent;
                 };
                 if delivered {
-                    rel_stats.recovered += 1;
+                    wire.rel.recovered += 1;
                     match result.as_mut() {
                         Some(existing) => (*existing).merge(payload),
                         None => result = Some(payload),
@@ -1328,11 +1216,12 @@ impl Network {
             }
             stranded = still;
         }
+        wire.books.phase = sticky;
         for (_, origin, _) in &stranded {
             wave.dropped_roots.push(*origin);
         }
 
-        recorder.end("convergecast", 0, round, wave_span);
+        wire.rec.end("convergecast", 0, round, wave_span);
 
         // The root applies its prune exactly once, after recovery merged in
         // the late arrivals (it applies the same logic when consuming the
@@ -1340,315 +1229,9 @@ impl Network {
         if let Some(p) = result.as_mut() {
             prune(NodeId::ROOT, p);
         }
-        self.scratch.put_buf(inbox, scratch_role::INBOX);
-        result
-    }
-
-    /// Runs a convergecast whose contributions are already materialised in
-    /// a per-node slot array: `contributions[i]` is node `i`'s payload,
-    /// taken by the engine (slots of nodes outside the routing tree are
-    /// left in place). Behaves exactly like [`Network::convergecast_with`]
-    /// with a take-from-slot closure — but this is the entry point where
-    /// within-run parallelism engages (see [`Network::set_wave_workers`]):
-    /// on a lossless channel, with the span recorder off and at least two
-    /// root subtrees, disjoint subtrees are aggregated concurrently and
-    /// every ledger/stats/audit/histogram update is replayed in the exact
-    /// sequential wave order afterwards, so results are **bit-identical at
-    /// any worker count**.
-    ///
-    /// `prune` must be a pure per-payload transformation (hence the `Fn +
-    /// Sync` bound): the parallel path applies it from worker threads, in
-    /// a different global order than the sequential wave.
-    pub fn convergecast_slots<T: Aggregate + Send + 'static>(
-        &mut self,
-        contributions: &mut [Option<T>],
-        prune: impl Fn(NodeId, &mut T) + Sync,
-    ) -> Option<T> {
-        assert_eq!(contributions.len(), self.len(), "one slot per node");
-        let parallel = self.wave_workers > 1
-            && self.loss.is_none()
-            && !self.recorder.is_enabled()
-            && self.tree.groups() >= 2;
-        if !parallel {
-            return self.convergecast_with(|u| contributions[u.index()].take(), prune);
-        }
-        self.convergecast_parallel(contributions, &prune)
-    }
-
-    /// Runs a convergecast whose contributions come from a closure, like
-    /// [`Network::convergecast_with`], but routed through
-    /// [`Network::convergecast_slots`] so within-run parallelism can
-    /// engage: `fill` is first materialised into a recycled per-node slot
-    /// buffer (called once per tree node, in the exact sequential wave
-    /// order), then the slots are aggregated. `fill` must not rely on
-    /// being interleaved with the wave's sends — true for every protocol
-    /// in this repository, whose contributions are pure reads of per-node
-    /// state.
-    pub fn convergecast_fill<T: Aggregate + Send + 'static>(
-        &mut self,
-        mut fill: impl FnMut(NodeId) -> Option<T>,
-        prune: impl Fn(NodeId, &mut T) + Sync,
-    ) -> Option<T> {
-        let n = self.len();
-        let mut slots = self.scratch.take_buf::<T>(n, scratch_role::FILL);
-        for &u in self.tree.bottom_up() {
-            if !u.is_root() {
-                slots[u.index()] = fill(u);
-            }
-        }
-        let result = self.convergecast_slots(&mut slots, prune);
-        self.scratch.put_buf(slots, scratch_role::FILL);
-        result
-    }
-
-    /// The parallel wave engine behind [`Network::convergecast_slots`].
-    ///
-    /// **Phase A** assigns contiguous runs of whole root subtrees
-    /// ("groups", balanced by node count) to scoped worker threads. Each
-    /// worker aggregates its groups in group-major order — within a group
-    /// that is exactly the sequential `bottom_up` order, so every parent's
-    /// inbox receives its children's payloads in the sequential merge
-    /// order and the resulting payloads are bit-identical. Workers touch
-    /// only disjoint slices and record per-sender wire sizes; they never
-    /// see the ledger, stats, audit log, or histograms.
-    ///
-    /// **Phase B** replays the accounting of every send sequentially in
-    /// wave-slot order — the exact order the sequential engine charges in,
-    /// which pins the floating-point addition order bit for bit. Finally
-    /// the root merges the per-group results in *reverse* group order:
-    /// level-1 of `bottom_up` visits the root's children in reverse
-    /// `children(root)` order, so that is the order their payloads reached
-    /// the root's inbox sequentially.
-    fn convergecast_parallel<T: Aggregate + Send + 'static>(
-        &mut self,
-        contributions: &mut [Option<T>],
-        prune: &(impl Fn(NodeId, &mut T) + Sync),
-    ) -> Option<T> {
-        self.stats.convergecasts += 1;
-        self.wave.clear();
-        let tsize = self.tree.tree_size();
-        let gsize = tsize - 1;
-        let groups = self.tree.groups();
-        let workers = self.wave_workers.min(groups);
-        let mut own = self.scratch.take_buf::<T>(gsize, scratch_role::OWN);
-        let mut acc = self.scratch.take_buf::<T>(gsize, scratch_role::INBOX);
-        let mut group_out = self.scratch.take_buf::<T>(groups, scratch_role::GROUP_OUT);
-
-        let Network {
-            tree,
-            topo,
-            model,
-            sizes,
-            ledger,
-            stats,
-            rel_stats,
-            wave,
-            phase,
-            phases,
-            lane,
-            lanes,
-            share,
-            audit,
-            hists,
-            hist_hot,
-            fanin,
-            wave_bits,
-            wave_vals,
-            wave_sent,
-            ..
-        } = self;
-        let phase = *phase;
-        let lane = *lane;
-        let go = tree.group_order();
-        let offs = tree.group_offsets();
-        let gparent = tree.group_parent();
-
-        // Prefetch contributions into group-major order (sequential: the
-        // slot array is exclusively borrowed) and zero the send records.
-        for (j, &u) in go.iter().enumerate() {
-            own[j] = contributions[u.index()].take();
-        }
-        fanin.clear();
-        fanin.resize(gsize, 0);
-        wave_bits.clear();
-        wave_bits.resize(gsize, 0);
-        wave_vals.clear();
-        wave_vals.resize(gsize, 0);
-        wave_sent.clear();
-        wave_sent.resize(gsize, false);
-
-        // Chunk boundaries: worker `k` starts at the first group whose
-        // node offset reaches `k/workers` of the nodes, so chunks are
-        // contiguous runs of whole groups with balanced node counts.
-        let bounds: Vec<usize> = (0..=workers)
-            .map(|k| offs.partition_point(|&o| (o as usize) < k * gsize / workers))
-            .collect();
-
-        std::thread::scope(|s| {
-            let mut own_rest = &mut own[..];
-            let mut acc_rest = &mut acc[..];
-            let mut fan_rest = &mut fanin[..];
-            let mut bits_rest = &mut wave_bits[..];
-            let mut vals_rest = &mut wave_vals[..];
-            let mut sent_rest = &mut wave_sent[..];
-            let mut gout_rest = &mut group_out[..];
-            for w in 0..workers {
-                let (g0, g1) = (bounds[w], bounds[w + 1]);
-                if g0 == g1 {
-                    continue;
-                }
-                let base = offs[g0] as usize;
-                let len = offs[g1] as usize - base;
-                let (own_c, r) = own_rest.split_at_mut(len);
-                own_rest = r;
-                let (acc_c, r) = acc_rest.split_at_mut(len);
-                acc_rest = r;
-                let (fan_c, r) = fan_rest.split_at_mut(len);
-                fan_rest = r;
-                let (bits_c, r) = bits_rest.split_at_mut(len);
-                bits_rest = r;
-                let (vals_c, r) = vals_rest.split_at_mut(len);
-                vals_rest = r;
-                let (sent_c, r) = sent_rest.split_at_mut(len);
-                sent_rest = r;
-                let (gout_c, r) = gout_rest.split_at_mut(g1 - g0);
-                gout_rest = r;
-                let ids = &go[base..base + len];
-                let gp = &gparent[base..base + len];
-                let goffs = &offs[g0..=g1];
-                let sizes: &MessageSizes = sizes;
-                s.spawn(move || {
-                    let mut g_local = 0usize;
-                    for j in 0..len {
-                        // Group tops are each group's last node, so the
-                        // current group advances at run boundaries.
-                        while base + j >= goffs[g_local + 1] as usize {
-                            g_local += 1;
-                        }
-                        let from_children = acc_c[j].take();
-                        let own_p = own_c[j].take();
-                        let merged_in = fan_c[j] + own_p.is_some() as u32;
-                        let combined = match (from_children, own_p) {
-                            (Some(mut a), Some(b)) => {
-                                a.merge(b);
-                                Some(a)
-                            }
-                            (Some(a), None) => Some(a),
-                            (None, Some(b)) => Some(b),
-                            (None, None) => None,
-                        };
-                        let Some(mut payload) = combined else {
-                            continue;
-                        };
-                        prune(ids[j], &mut payload);
-                        bits_c[j] = payload.payload_bits(sizes);
-                        vals_c[j] = payload.value_count() as u32;
-                        fan_c[j] = merged_in;
-                        sent_c[j] = true;
-                        let p = gp[j];
-                        if p == u32::MAX {
-                            // Parent is the root: this is the group top.
-                            gout_c[g_local] = Some(payload);
-                        } else {
-                            let pl = p as usize - base;
-                            fan_c[pl] += 1;
-                            match &mut acc_c[pl] {
-                                Some(existing) => existing.merge(payload),
-                                None => acc_c[pl] = Some(payload),
-                            }
-                        }
-                    }
-                });
-            }
-        });
-
-        // Phase B: sequential replay of every send's accounting, in exact
-        // wave-slot order (the root run is last and sends nothing).
-        let order = tree.bottom_up();
-        let parent_slot = tree.parent_slots();
-        let level_offsets = tree.level_offsets();
-        let w2g = tree.wave_to_group();
-        let tx_coef = model.tx_coef(topo.radio_range());
-        let rx_coef = model.rx_coef();
-        for lvl in 0..tree.levels() - 1 {
-            let start = level_offsets[lvl] as usize;
-            let end = level_offsets[lvl + 1] as usize;
-            let depth = tree.depth(order[start]) as u64;
-            for pos in start..end {
-                let j = w2g[pos] as usize;
-                if !wave_sent[j] {
-                    continue;
-                }
-                let u = order[pos];
-                wave.senders += 1;
-                record_hot(hist_hot, hists, pos, HistKind::HopDepth, depth);
-                record_hot(hist_hot, hists, pos, HistKind::FanIn, fanin[j] as u64);
-                let bits = wave_bits[j];
-                let parent = order[parent_slot[pos] as usize];
-                stats.values += wave_vals[j] as u64;
-                // Shared-frame state advances here, in the sequential
-                // accounting replay — never on worker threads — so worker
-                // counts cannot perturb it.
-                let (fragments, total_bits) = if share.enabled {
-                    SharedWave::frame(&mut share.up[u.index()], bits, sizes)
-                } else {
-                    sizes.fragment(bits)
-                };
-                let tx = total_bits as f64 * tx_coef;
-                let rx = total_bits as f64 * rx_coef;
-                ledger.charge_tx(u, tx);
-                ledger.charge(parent, rx);
-                stats.messages += fragments;
-                stats.bits += total_bits;
-                phases.charge(phase, fragments, total_bits, tx + rx);
-                lanes.charge(lane, phase, fragments, total_bits, tx + rx);
-                audit.record(
-                    phase,
-                    TxKind::Data,
-                    u,
-                    parent,
-                    fragments,
-                    total_bits,
-                    tx,
-                    rx,
-                );
-                if share.enabled {
-                    for _ in 0..fragments {
-                        record_hot(
-                            hist_hot,
-                            hists,
-                            pos,
-                            HistKind::MsgBits,
-                            total_bits / fragments.max(1),
-                        );
-                    }
-                } else {
-                    for frag_bits in sizes.fragment_bits(bits) {
-                        record_hot(hist_hot, hists, pos, HistKind::MsgBits, frag_bits);
-                    }
-                }
-                record_hot(hist_hot, hists, pos, HistKind::Retries, 0);
-                rel_stats.delivered += 1;
-            }
-        }
-
-        // Root merge in reverse group order (see the method docs), then
-        // the root's single prune, as in the sequential engine.
-        let mut result: Option<T> = None;
-        for g in (0..groups).rev() {
-            if let Some(payload) = group_out[g].take() {
-                match result.as_mut() {
-                    Some(existing) => existing.merge(payload),
-                    None => result = Some(payload),
-                }
-            }
-        }
-        if let Some(p) = result.as_mut() {
-            prune(NodeId::ROOT, p);
-        }
-        self.scratch.put_buf(own, scratch_role::OWN);
-        self.scratch.put_buf(acc, scratch_role::INBOX);
-        self.scratch.put_buf(group_out, scratch_role::GROUP_OUT);
+        self.wave = wave;
+        self.fanin = fanin;
+        self.scratch.put_buf(inbox);
         result
     }
 
@@ -1673,49 +1256,21 @@ impl Network {
     /// caller-owned bitset (cleared and resized in place), so repeated
     /// waves perform no heap allocation.
     pub fn broadcast_into(&mut self, payload_bits: u64, received: &mut NodeBits) {
-        self.stats.broadcasts += 1;
-        let n = self.len();
-        let (fragments, total_bits) = self.sizes.fragment(payload_bits);
-        received.reset(n);
+        self.books.stats.broadcasts += 1;
+        received.reset(self.len());
         received.set(NodeId::ROOT.index());
 
-        // Split field borrows, as in `convergecast_with`: traversal and
-        // child lookups read the tree in place while the ledger/stats/loss
-        // are mutated — no per-node clone of the children list.
-        let Network {
-            tree,
-            topo,
-            model,
-            sizes,
-            ledger,
-            stats,
-            loss,
-            reliability,
-            rel_stats,
-            phase,
-            phases,
-            lane,
-            lanes,
-            share,
-            audit,
-            hists,
-            hist_hot,
-            recorder,
-            ..
-        } = self;
-        let phase = *phase;
-        let lane = *lane;
-        let wave_span = recorder.start();
-        let round = audit.round();
+        // Split borrows, as in `convergecast_with`: traversal and child
+        // lookups read the tree in place while the wire charges.
+        let (tree, mut wire) = self.wire();
+        let sizes = wire.sizes;
+        let wave_span = wire.rec.start();
+        let round = wire.books.audit.round();
         let order = tree.bottom_up();
-        // Every transmitter sends the same payload over the same range, so
-        // the per-link energies are wave constants — hoisting them (and the
-        // `powf` inside `tx_energy`) is bit-exact.
-        let tx = model.tx_energy(total_bits, topo.radio_range());
-        let rx = model.rx_energy(total_bits);
+        let solo = sizes.fragment(payload_bits);
         // Shared frames apply to lossless broadcasts only (per-fragment
         // loss draws must see the solo fragment stream).
-        let sharing = share.enabled && loss.is_none();
+        let sharing = wire.share.enabled && wire.loss.is_none();
         // Walk the wave slots in reverse (parents before children, the
         // top-down order): histogram blocks and CSR child lists are then
         // visited in storage order.
@@ -1724,76 +1279,30 @@ impl Network {
             if !received.get(u.index()) || tree.is_leaf(u) {
                 continue;
             }
-            // Per-transmitter marginal cost under sharing; the hoisted wave
-            // constants otherwise (the disabled path is byte-identical).
-            let (fragments, total_bits, tx, rx) = if sharing {
-                let (f, b) = SharedWave::frame(&mut share.down[u.index()], payload_bits, sizes);
-                (
-                    f,
-                    b,
-                    model.tx_energy(b, topo.radio_range()),
-                    model.rx_energy(b),
-                )
+            // Per-transmitter marginal cost under sharing, the solo cost
+            // otherwise.
+            let (fragments, total_bits) = if sharing {
+                SharedWave::frame(&mut wire.share.down[u.index()], payload_bits, sizes)
             } else {
-                (fragments, total_bits, tx, rx)
+                solo
             };
+            let tx = total_bits as f64 * wire.tx_coef;
+            let rx = total_bits as f64 * wire.rx_coef;
             // One radio transmission reaches all children (§5.1.4: receivers
             // pay because the schedule tells them when to listen). Broadcast
             // frames are unacknowledged, as in 802.15.4; reliability comes
             // from the repair passes below.
-            ledger.charge_tx(u, tx);
-            stats.messages += fragments;
-            stats.bits += total_bits;
-            phases.charge(phase, fragments, total_bits, tx);
-            lanes.charge(lane, phase, fragments, total_bits, tx);
-            if sharing {
-                for _ in 0..fragments {
-                    record_hot(
-                        hist_hot,
-                        hists,
-                        pos,
-                        HistKind::MsgBits,
-                        total_bits / fragments.max(1),
-                    );
-                }
-            } else {
-                for frag_bits in sizes.fragment_bits(payload_bits) {
-                    record_hot(hist_hot, hists, pos, HistKind::MsgBits, frag_bits);
-                }
-            }
-            record_hot(
-                hist_hot,
-                hists,
-                pos,
-                HistKind::HopDepth,
-                tree.depth(u) as u64,
-            );
-            audit.record(
-                phase,
-                TxKind::BroadcastTx,
-                u,
-                u,
-                fragments,
-                total_bits,
-                tx,
-                0.0,
-            );
+            wire.books
+                .charge(TxKind::BroadcastTx, u, u, fragments, total_bits, tx, 0.0);
+            let frames = sharing.then_some((fragments, total_bits));
+            wire.hists.record_frames(pos, sizes, payload_bits, frames);
+            wire.hists
+                .record(pos, HistKind::HopDepth, tree.depth(u) as u64);
             for &c in tree.children(u) {
-                ledger.charge(c, rx);
                 // Bits were already counted once at the transmitter.
-                phases.charge(phase, 0, 0, rx);
-                lanes.charge(lane, phase, 0, 0, rx);
-                audit.record(
-                    phase,
-                    TxKind::BroadcastRx,
-                    u,
-                    c,
-                    fragments,
-                    total_bits,
-                    0.0,
-                    rx,
-                );
-                let arrived = match loss {
+                wire.books
+                    .charge(TxKind::BroadcastRx, u, c, fragments, total_bits, 0.0, rx);
+                let arrived = match wire.loss {
                     // Each 802.15.4 frame is lost independently and the
                     // child needs every fragment. No short-circuit: every
                     // fragment draws from the loss stream.
@@ -1810,10 +1319,11 @@ impl Network {
         // children that missed it as an ARQ-protected unicast (the missing
         // link-layer ACK tells the parent who is short). Children repaired
         // early in a pass repair their own children later in the same pass,
-        // since top_down() visits parents before children.
-        if loss.is_some() {
-            let arq = reliability.max_retries;
-            for _ in 0..reliability.recovery_passes {
+        // since top_down() visits parents before children. Repair re-offers
+        // are reliability traffic.
+        if wire.loss.is_some() {
+            let sticky = std::mem::replace(&mut wire.books.phase, Phase::Recovery);
+            for _ in 0..wire.reliability.recovery_passes {
                 let mut repaired_any = false;
                 for pos in (0..order.len()).rev() {
                     let u = order[pos];
@@ -1821,36 +1331,10 @@ impl Network {
                         continue;
                     }
                     for &c in tree.children(u) {
-                        if received.get(c.index()) {
-                            continue;
-                        }
-                        // Repair re-offers are reliability traffic.
-                        let arrived = send_over_link(
-                            topo,
-                            model,
-                            sizes,
-                            ledger,
-                            stats,
-                            rel_stats,
-                            loss,
-                            Phase::Recovery,
-                            phases,
-                            lane,
-                            lanes,
-                            audit,
-                            hists,
-                            hist_hot,
-                            recorder,
-                            arq,
-                            u,
-                            pos,
-                            c,
-                            payload_bits,
-                            0,
-                        );
-                        if arrived {
+                        if !received.get(c.index()) && wire.send(u, pos, c, payload_bits, 0, false)
+                        {
                             received.set(c.index());
-                            rel_stats.recovered += 1;
+                            wire.rel.recovered += 1;
                             repaired_any = true;
                         }
                     }
@@ -1859,8 +1343,9 @@ impl Network {
                     break;
                 }
             }
+            wire.books.phase = sticky;
         }
-        recorder.end("broadcast", 0, round, wave_span);
+        wire.rec.end("broadcast", 0, round, wave_span);
     }
 }
 
@@ -2540,6 +2025,36 @@ mod tests {
         assert!(report.is_clean() || net.audit_log().events().is_empty());
     }
 
+    /// The single charge path keeps every book consistent: the live lane
+    /// book replays bit for bit from the audit log, the lanes partition
+    /// the phase breakdown, the phases sum to the global stats, and the
+    /// auditor reconciles the ledger.
+    fn assert_books_reconcile(net: &Network) {
+        let book = net.lane_book();
+        let replayed = crate::audit::lane_breakdowns(net.audit_log(), book.len());
+        assert_eq!(replayed.len(), book.len());
+        for (lane, b) in replayed.iter().enumerate() {
+            assert_eq!(*b, book.get(lane as u32), "lane {lane} replay");
+        }
+        let phases = *net.phases();
+        for phase in Phase::ALL {
+            let sum = |f: fn(&crate::audit::PhaseCounters) -> u64| -> u64 {
+                book.breakdowns().iter().map(|b| f(b.get(phase))).sum()
+            };
+            assert_eq!(sum(|c| c.bits), phases.get(phase).bits, "{}", phase.name());
+            assert_eq!(
+                sum(|c| c.messages),
+                phases.get(phase).messages,
+                "{}",
+                phase.name()
+            );
+        }
+        assert_eq!(phases.messages().iter().sum::<u64>(), net.stats().messages);
+        assert_eq!(phases.bits().iter().sum::<u64>(), net.stats().bits);
+        let report = EnergyAuditor::verify(net);
+        assert!(report.is_clean(), "{:?}", report.discrepancies);
+    }
+
     #[test]
     fn lane_book_partitions_charges_and_replays_bit_exactly() {
         let mut net = line_network(4);
@@ -2557,30 +2072,43 @@ mod tests {
         }
         let book = net.lane_book();
         assert_eq!(book.len(), 2);
-        // Lanes partition the global breakdown exactly (integer fields).
-        let phases = *net.phases();
-        for phase in Phase::ALL {
-            let bits: u64 = book.breakdowns().iter().map(|b| b.get(phase).bits).sum();
-            let msgs: u64 = book
-                .breakdowns()
-                .iter()
-                .map(|b| b.get(phase).messages)
-                .sum();
-            assert_eq!(bits, phases.get(phase).bits, "{}", phase.name());
-            assert_eq!(msgs, phases.get(phase).messages, "{}", phase.name());
-        }
         // Lane 1 piggybacks on lane 0's frames, so it is strictly cheaper.
         assert!(
             book.get(1).get(Phase::Other).bits < book.get(0).get(Phase::Other).bits,
             "piggybacking lane must pay fewer bits"
         );
-        // The audit-log replay reproduces the live book bit for bit.
-        let replayed = crate::audit::lane_breakdowns(net.audit_log(), book.len());
-        for (lane, b) in replayed.iter().enumerate() {
-            assert_eq!(*b, book.get(lane as u32), "lane {lane}");
+        assert_books_reconcile(&net);
+
+        // Every other kind of charge — ARQ retries and ACKs, recovery
+        // climbs and broadcast repairs, idle listening — goes through the
+        // same path and replays just as exactly.
+        let mut net = line_network(6);
+        net.set_audit(true);
+        net.set_loss(Some(LossModel::new(0.3, 41)));
+        net.set_reliability(ReliabilityConfig::recovering(2, 3));
+        net.set_duty_cycle(200);
+        let mut buf = NodeBits::new();
+        for round in 0..12u32 {
+            net.set_lane(round % 3);
+            net.set_phase(Phase::Validation);
+            net.convergecast(one_value);
+            net.set_lane(2 - round % 3);
+            net.set_phase(Phase::Refinement);
+            net.broadcast_into(80, &mut buf);
+            net.end_round();
         }
-        // And the energy audit still reconciles under sharing.
-        let report = EnergyAuditor::verify(&net);
-        assert!(report.is_clean(), "{:?}", report.discrepancies);
+        let kinds: Vec<TxKind> = net.audit_log().events().iter().map(|e| e.kind).collect();
+        for kind in [
+            TxKind::Data,
+            TxKind::Ack,
+            TxKind::BroadcastTx,
+            TxKind::BroadcastRx,
+            TxKind::Idle,
+        ] {
+            assert!(kinds.contains(&kind), "{} never charged", kind.name());
+        }
+        assert!(net.phases().get(Phase::Recovery).messages > 0);
+        assert_eq!(net.lane_book().len(), 3);
+        assert_books_reconcile(&net);
     }
 }

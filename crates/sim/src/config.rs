@@ -256,11 +256,11 @@ pub struct SimulationConfig {
     /// branch per tap point and keeps the hot path allocation-free.
     /// Telemetry histograms are always on regardless of this flag.
     pub telemetry: bool,
-    /// Worker threads *within* each run's convergecast waves (on top of the
-    /// per-run parallelism of [`crate::parallel`]): disjoint root subtrees
-    /// are aggregated concurrently and all accounting is replayed in the
-    /// sequential wave order, so results are bit-identical at any value.
-    /// `1` (the default) runs waves on the caller's thread.
+    /// Ignored: waves always run on the caller's thread. Kept only because
+    /// the frozen benchmark in `perfbench/src/world.rs` still reads it;
+    /// nothing in the workspace may (`tests/dynamics.rs` pins that setting
+    /// it changes no digest).
+    #[doc(hidden)]
     pub wave_workers: usize,
     /// Dynamic-world processes (mobility, churn, drift, duty cycle).
     /// `None` — and `Some` with every knob at zero — is the static world
@@ -295,7 +295,98 @@ impl Default for SimulationConfig {
     }
 }
 
+/// Why [`SimulationConfig::validate`] or
+/// [`crate::service::validate_events`] rejected an input.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConfigError {
+    /// The named [`SimulationConfig`] field holds the printed value, which
+    /// lies outside the stated domain.
+    OutOfRange(&'static str, String, &'static str),
+    /// A serve event at this round, at or past the run's last round.
+    EventAfterRun(u32),
+    /// A retirement at this round naming a slot that holds no query then.
+    NoSuchSlot(u32, u32),
+    /// An admission at this round into a service that already holds
+    /// [`cqp_core::Service::MAX_QUERIES`] queries.
+    ServiceFull(u32),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::OutOfRange(field, value, domain) => {
+                write!(f, "{field} = {value} is outside {domain}")
+            }
+            ConfigError::EventAfterRun(round) => {
+                write!(f, "event at round {round} is past the last round")
+            }
+            ConfigError::NoSuchSlot(round, slot) => {
+                write!(f, "no query holds slot {slot} at round {round}")
+            }
+            ConfigError::ServiceFull(round) => write!(
+                f,
+                "admission at round {round} exceeds {} queries",
+                cqp_core::Service::MAX_QUERIES
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// `Ok` iff `ok`, else [`ConfigError::OutOfRange`] for `field`.
+fn check(
+    ok: bool,
+    field: &'static str,
+    value: impl ToString,
+    domain: &'static str,
+) -> Result<(), ConfigError> {
+    if ok {
+        return Ok(());
+    }
+    Err(ConfigError::OutOfRange(field, value.to_string(), domain))
+}
+
 impl SimulationConfig {
+    /// Checks every field the world builders and protocols would otherwise
+    /// assert on deep inside a run (on worker threads), so entry points
+    /// can reject bad input up front. Connectivity of the placement is not
+    /// checked: it depends on the random draw.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let sensors = match &self.dataset {
+            DatasetSpec::Pressure(p) => p.sensor_count,
+            _ => self.sensor_count,
+        };
+        check(sensors >= 1, "sensor_count", sensors, "1..")?;
+        check(
+            self.radio_range > 0.0 && self.radio_range.is_finite(),
+            "radio_range",
+            self.radio_range,
+            "(0, inf)",
+        )?;
+        check((0.0..=1.0).contains(&self.phi), "phi", self.phi, "[0, 1]")?;
+        check(self.runs >= 1, "runs", self.runs, "1..")?;
+        for (field, p) in [("loss", self.loss), ("node_failure", self.node_failure)] {
+            if let Some(p) = p {
+                check((0.0..=1.0).contains(&p), field, p, "[0, 1]")?;
+            }
+        }
+        match &self.dataset {
+            DatasetSpec::Synthetic(s) => {
+                check(s.period >= 1, "dataset.period", s.period, "1..")?;
+                check(
+                    (0.0..=100.0).contains(&s.noise_percent),
+                    "dataset.noise_percent",
+                    s.noise_percent,
+                    "[0, 100]",
+                )?;
+            }
+            DatasetSpec::Pressure(p) => check(p.skip >= 1, "dataset.skip", p.skip, "1..")?,
+            DatasetSpec::RandomWalk { .. } | DatasetSpec::Regime { .. } => {}
+        }
+        Ok(())
+    }
+
     /// A scaled-down configuration for fast tests and CI (fewer nodes,
     /// rounds and runs; same structure).
     pub fn quick() -> Self {
@@ -354,6 +445,41 @@ mod tests {
         assert_eq!(battery[6].name(), "QD");
         assert_eq!(battery[7].name(), "GKS");
         assert!(AlgorithmKind::PAPER_SET.iter().all(|k| !k.is_approximate()));
+    }
+
+    #[test]
+    fn validate_rejects_inputs_the_run_would_assert_on() {
+        let base = SimulationConfig::default;
+        assert_eq!(base().validate(), Ok(()));
+        let synthetic = |period, noise_percent| SimulationConfig {
+            dataset: DatasetSpec::Synthetic(SyntheticConfig {
+                period,
+                noise_percent,
+                ..SyntheticConfig::default()
+            }),
+            ..base()
+        };
+        assert_eq!(synthetic(1, 100.0).validate(), Ok(()));
+        let mut bad = vec![synthetic(0, 10.0), synthetic(125, -1.0)];
+        let edits: [fn(&mut SimulationConfig); 6] = [
+            |c| c.sensor_count = 0,
+            |c| c.phi = 1.5,
+            |c| c.phi = f64::NAN,
+            |c| c.radio_range = 0.0,
+            |c| c.runs = 0,
+            |c| c.loss = Some(1.5),
+        ];
+        for edit in edits {
+            let mut cfg = base();
+            edit(&mut cfg);
+            bad.push(cfg);
+        }
+        for cfg in bad {
+            assert!(
+                matches!(cfg.validate(), Err(ConfigError::OutOfRange(..))),
+                "{cfg:?}"
+            );
+        }
     }
 
     #[test]

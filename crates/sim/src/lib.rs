@@ -35,12 +35,13 @@ pub mod scenario;
 pub mod service;
 pub mod trace;
 
-pub use config::{AlgorithmKind, DatasetSpec, DynamicsConfig, SimulationConfig};
+pub use config::{AlgorithmKind, ConfigError, DatasetSpec, DynamicsConfig, SimulationConfig};
 pub use metrics::{AggregatedMetrics, RunMetrics};
 pub use runner::{run_experiment, run_experiment_threads, run_once};
 pub use scenario::{DataSource, Scenario};
 pub use service::{
-    serve, serve_capture, serve_monitored, QueryReport, ServeEvent, ServeQuery, ServeReport,
+    serve, serve_capture, serve_monitored, validate_events, QueryReport, ServeEvent, ServeQuery,
+    ServeReport,
 };
 
 /// A sensor measurement.

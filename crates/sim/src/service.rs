@@ -33,7 +33,7 @@ use wsn_net::{
     lane_breakdowns, EnergyAuditor, FailureModel, Network, NodeId, Phase, PhaseBreakdown,
 };
 
-use crate::config::{AlgorithmKind, SimulationConfig};
+use crate::config::{AlgorithmKind, ConfigError, SimulationConfig};
 use crate::runner::{build_world, rank_error};
 use crate::Value;
 
@@ -76,6 +76,50 @@ pub enum ServeEvent {
         /// initial queries take slots `0..k` in order).
         slot: u32,
     },
+}
+
+impl ServeEvent {
+    /// The round the event takes effect at.
+    pub fn round(&self) -> u32 {
+        match *self {
+            ServeEvent::Admit { round, .. } | ServeEvent::Retire { round, .. } => round,
+        }
+    }
+}
+
+/// Checks that every event of a serve workload takes effect, since
+/// [`serve`] silently skips those that would not: each must land before
+/// the last of `rounds` rounds, no admission may overfill the service,
+/// and every retirement must name a slot holding a query at that point.
+/// Slots follow the runner: the `initial` queries take `0..initial`, each
+/// admission the lowest free slot, and events apply in round order —
+/// within a round, in the order given.
+pub fn validate_events(
+    initial: usize,
+    events: &[ServeEvent],
+    rounds: u32,
+) -> Result<(), ConfigError> {
+    let mut ordered: Vec<&ServeEvent> = events.iter().collect();
+    ordered.sort_by_key(|e| e.round());
+    let mut active = vec![true; initial];
+    for ev in ordered {
+        let round = ev.round();
+        if round >= rounds {
+            return Err(ConfigError::EventAfterRun(round));
+        }
+        match *ev {
+            ServeEvent::Admit { .. } => match active.iter().position(|a| !a) {
+                Some(free) => active[free] = true,
+                None if active.len() < Service::MAX_QUERIES => active.push(true),
+                None => return Err(ConfigError::ServiceFull(round)),
+            },
+            ServeEvent::Retire { slot, .. } => match active.get_mut(slot as usize) {
+                Some(held) if *held => *held = false,
+                _ => return Err(ConfigError::NoSuchSlot(round, slot)),
+            },
+        }
+    }
+    Ok(())
 }
 
 /// Per-query results of a serve run.
@@ -274,9 +318,8 @@ pub fn serve_capture(
 /// decision, and never touches the [`Network`]. A monitored run therefore
 /// produces the *byte-identical* [`ServeReport`], audit log and digest of
 /// an unmonitored one — pinned by `crates/sim/tests/serve.rs` — and,
-/// because everything it observes comes from the sequentially-replayed
-/// accounting, its health-event stream is itself bit-identical at any
-/// `wave_workers` count.
+/// because everything it observes comes from the deterministic
+/// accounting, its health-event stream replays bit-identically too.
 pub fn serve_monitored(
     cfg: &SimulationConfig,
     initial: &[ServeQuery],
@@ -298,7 +341,6 @@ pub fn serve_monitored(
     let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
     net.set_audit(cfg.audit);
     net.set_telemetry(cfg.telemetry);
-    net.set_wave_workers(cfg.wave_workers);
     if let Some(p) = cfg.loss {
         net.set_loss(Some(LossModel::new(p, rng.next_u64())));
     }
@@ -395,9 +437,7 @@ pub fn serve_monitored(
     let mut served = 0u64;
 
     for t in 0..cfg.rounds {
-        for ev in events.iter().filter(|e| match e {
-            ServeEvent::Admit { round, .. } | ServeEvent::Retire { round, .. } => *round == t,
-        }) {
+        for ev in events.iter().filter(|e| e.round() == t) {
             match *ev {
                 ServeEvent::Admit { query, .. } => {
                     admit(
@@ -691,6 +731,31 @@ mod tests {
         for qr in &report.queries {
             assert_eq!(&qr.charges, &report.lanes[qr.slot as usize]);
         }
+    }
+
+    #[test]
+    fn validate_events_tracks_slots_like_the_runner() {
+        let admit = |round| ServeEvent::Admit {
+            round,
+            query: q(AlgorithmKind::Tag, 500, 1),
+        };
+        let retire = |round, slot| ServeEvent::Retire { round, slot };
+        let check = |initial, events: &[ServeEvent]| validate_events(initial, events, 10);
+        // Slot 2 exists only once the round-3 admission took it; within a
+        // round, events apply in the order given.
+        assert!(check(2, &[admit(3), retire(5, 2)]).is_ok());
+        assert!(check(2, &[admit(3), retire(3, 2)]).is_ok());
+        assert_eq!(
+            check(2, &[retire(3, 2), admit(3)]),
+            Err(ConfigError::NoSuchSlot(3, 2))
+        );
+        // A retired slot is gone until an admission reuses it.
+        assert!(check(2, &[retire(1, 0), retire(2, 0)]).is_err());
+        assert!(check(2, &[retire(1, 0), admit(2), retire(3, 0)]).is_ok());
+        assert_eq!(check(2, &[admit(10)]), Err(ConfigError::EventAfterRun(10)));
+        let full = vec![admit(0); Service::MAX_QUERIES - 1];
+        assert!(check(1, &full).is_ok());
+        assert_eq!(check(2, &full), Err(ConfigError::ServiceFull(0)));
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! link drift and duty-cycled radios, checked end to end — oracle
 //! exactness where the world stays reliable, bit-exact audit replay with
 //! nonzero rebuild joules where it does not, histogram↔traffic
-//! reconciliation, and wave-worker digest parity under rebuilds.
+//! reconciliation, and byte-identical digest replay under rebuilds.
 
 use wsn_net::obs::HistKind;
 use wsn_net::Phase;
-use wsn_sim::parity::{scenario_digest, serve_digest};
+use wsn_sim::parity::{config_digest, scenario_digest, serve_digest, PARITY_SET};
 use wsn_sim::runner::{run_experiment_threads, AREA};
 use wsn_sim::{AlgorithmKind, DataSource, DynamicsConfig, Scenario, SimulationConfig};
 
@@ -149,24 +149,44 @@ fn drifting_lossy_worlds_audit_cleanly() {
     assert_telemetry_reconciles(&agg, &cfg);
 }
 
+/// `cfg` with the ignored `wave_workers` knob set to `workers`: the
+/// `perfbench` package still sets it, so it must not move a digest byte.
+fn with_workers(cfg: &SimulationConfig, workers: usize) -> SimulationConfig {
+    SimulationConfig {
+        wave_workers: workers,
+        ..cfg.clone()
+    }
+}
+
 #[test]
 fn run_digests_are_wave_worker_independent_under_dynamics() {
     // The determinism contract extended to dynamic worlds: dynamics
-    // decisions happen between rounds on the caller's thread, so the
-    // full-battery digest is byte-identical at 1, 2 and 8 wave workers.
+    // decisions come from the run's own seeded stream, between rounds, so
+    // the full-battery digest replays byte for byte and is the same
+    // whatever `wave_workers` holds.
     let s = Scenario {
         mobility_milli: 250,
         churn_milli: 50,
         duty_milli: 100,
         ..base()
     };
-    let one = scenario_digest(&s, 1);
-    assert_eq!(one, scenario_digest(&s, 2), "1 vs 2 wave workers");
-    assert_eq!(one, scenario_digest(&s, 8), "1 vs 8 wave workers");
+    let one = scenario_digest(&s);
+    assert_eq!(one, scenario_digest(&s), "run digest replay");
     assert!(
         one.contains("rebuild count="),
         "dynamic digests pin rebuilds"
     );
+    let cfg = s.to_config();
+    for workers in [2, 8] {
+        for kind in PARITY_SET {
+            assert_eq!(
+                config_digest(&cfg, kind),
+                config_digest(&with_workers(&cfg, workers), kind),
+                "{} at wave_workers={workers}",
+                kind.name()
+            );
+        }
+    }
 }
 
 #[test]
@@ -177,17 +197,13 @@ fn serve_digests_are_wave_worker_independent_under_dynamics() {
         churn_milli: 50,
         ..base()
     };
-    let workload = s.workload();
-    let digest_at = |workers: usize| {
-        let cfg = SimulationConfig {
-            wave_workers: workers,
-            ..s.to_config()
-        };
-        serve_digest(&cfg, &workload, &[], true)
-    };
+    let (cfg, workload) = (s.to_config(), s.workload());
+    let digest_at =
+        |workers: usize| serve_digest(&with_workers(&cfg, workers), &workload, &[], true);
     let one = digest_at(1);
-    assert_eq!(one, digest_at(2), "1 vs 2 wave workers");
-    assert_eq!(one, digest_at(8), "1 vs 8 wave workers");
+    assert_eq!(one, digest_at(1), "serve digest replay");
+    assert_eq!(one, digest_at(2), "wave_workers 1 vs 2");
+    assert_eq!(one, digest_at(8), "wave_workers 1 vs 8");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Multi-query service determinism (DESIGN.md §3.3i): the serve runner's
 //! full output — every query's answer stream, its per-lane phase charges,
-//! and the audit log — is byte-identical at any within-wave worker count,
-//! and a transient query (admitted then retired mid-run) leaves the
+//! and the audit log — is untouched by the monitoring plane, and a
+//! transient query (admitted then retired mid-run) leaves the
 //! surviving queries' answers and ledger charges bit-identical in solo
 //! framing (under shared framing the transient's piggybacked frames
 //! legitimately change the survivors' marginal accounting).
@@ -39,11 +39,8 @@ fn scenario() -> Scenario {
     }
 }
 
-fn cfg(wave_workers: usize) -> SimulationConfig {
-    SimulationConfig {
-        wave_workers,
-        ..scenario().to_config()
-    }
+fn cfg() -> SimulationConfig {
+    scenario().to_config()
 }
 
 fn transient_events() -> Vec<ServeEvent> {
@@ -58,22 +55,6 @@ fn transient_events() -> Vec<ServeEvent> {
         },
         ServeEvent::Retire { round: 7, slot: 5 },
     ]
-}
-
-#[test]
-fn serve_is_byte_identical_at_any_wave_worker_count() {
-    let workload = scenario().workload();
-    let events = transient_events();
-    for shared in [false, true] {
-        let golden = serve_digest(&cfg(1), &workload, &events, shared);
-        for workers in [2usize, 8] {
-            assert_eq!(
-                golden,
-                serve_digest(&cfg(workers), &workload, &events, shared),
-                "shared={shared}: digest diverged at {workers} wave workers"
-            );
-        }
-    }
 }
 
 /// Monitoring "fully enabled": every watchdog armed, tight recorder.
@@ -93,51 +74,41 @@ fn monitoring_and_flight_recorder_never_perturb_the_digest() {
     let workload = scenario().workload();
     let events = transient_events();
     let mc = full_monitoring();
-    for workers in [1usize, 8] {
-        let plain = serve_digest(&cfg(workers), &workload, &events, true);
-        let (report, monitor, net) =
-            serve_monitored(&cfg(workers), &workload, &events, true, 0, Some(&mc));
-        assert_eq!(
-            plain,
-            serve_report_digest(&report, &net),
-            "monitoring changed the digest at {workers} wave workers"
-        );
-        let m = monitor.expect("monitor attached");
-        assert!(!m.recorder().is_empty(), "flight recorder was recording");
-    }
+    let plain = serve_digest(&cfg(), &workload, &events, true);
+    let (report, monitor, net) = serve_monitored(&cfg(), &workload, &events, true, 0, Some(&mc));
+    assert_eq!(
+        plain,
+        serve_report_digest(&report, &net),
+        "monitoring changed the digest"
+    );
+    let m = monitor.expect("monitor attached");
+    assert!(!m.recorder().is_empty(), "flight recorder was recording");
 }
 
 #[test]
-fn health_events_land_on_the_same_rounds_and_slots_at_any_worker_count() {
+fn health_events_replay_on_the_same_rounds_and_slots() {
     let workload = scenario().workload();
     let events = transient_events();
     let mc = full_monitoring();
-    let run = |workers: usize| {
-        let (_, monitor, _) =
-            serve_monitored(&cfg(workers), &workload, &events, false, 0, Some(&mc));
+    let run = || {
+        let (_, monitor, _) = serve_monitored(&cfg(), &workload, &events, false, 0, Some(&mc));
         monitor.expect("monitor attached").events().to_vec()
     };
-    let golden = run(1);
+    let golden = run();
     assert!(
         golden
             .iter()
             .any(|e| matches!(e.kind, HealthKind::BudgetOverrun { .. })),
         "the 1 µJ budget must overrun"
     );
-    for workers in [2usize, 8] {
-        assert_eq!(
-            golden,
-            run(workers),
-            "health events diverged at {workers} wave workers"
-        );
-    }
+    assert_eq!(golden, run(), "health events diverged between runs");
 }
 
 #[test]
 fn a_transient_query_leaves_the_survivors_bit_identical() {
     let workload = scenario().workload();
-    let baseline = serve(&cfg(1), &workload, &[], false, 0);
-    let perturbed = serve(&cfg(1), &workload, &transient_events(), false, 0);
+    let baseline = serve(&cfg(), &workload, &[], false, 0);
+    let perturbed = serve(&cfg(), &workload, &transient_events(), false, 0);
 
     assert_eq!(perturbed.queries.len(), baseline.queries.len() + 1);
     let transient = &perturbed.queries[workload.len()];

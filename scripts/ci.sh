@@ -50,55 +50,50 @@ echo "    accounting checks, must be clean)"
 
 echo "==> dynamic-world smoke (200 fresh scenarios drawn over the mobility/"
 echo "    churn/drift/duty classes plus a mobile churning duty-cycled audit"
-echo "    run: must reconcile bit-exactly and replay byte-identically at"
-echo "    1 vs 4 wave threads)"
+echo "    run: must reconcile bit-exactly and replay byte-identically)"
 ./target/release/simulate fuzz --scenarios 200 --seed 555
 ./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
     --mobility --churn --duty --seed 17 --audit
-./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
-    --mobility --churn --drift --duty --loss 0.2 --retries 2 --seed 17 \
-    --wave-threads 1 --capture "$tmp/dyn1.jsonl"
-./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
-    --mobility --churn --drift --duty --loss 0.2 --retries 2 --seed 17 \
-    --wave-threads 4 --capture "$tmp/dyn4.jsonl"
-./target/release/simulate diff "$tmp/dyn1.jsonl" "$tmp/dyn4.jsonl" \
+for run in a b; do
+    ./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
+        --mobility --churn --drift --duty --loss 0.2 --retries 2 --seed 17 \
+        --capture "$tmp/dyn-$run.jsonl"
+done
+./target/release/simulate diff "$tmp/dyn-a.jsonl" "$tmp/dyn-b.jsonl" \
     | grep -q '^identical'
 
 echo "==> serve smoke (16-query continuous service + mid-run admit/retire:"
-echo "    audit must reconcile, digests byte-identical at 1 vs 4 wave threads)"
+echo "    audit must reconcile, digests byte-identical across two runs)"
 ./target/release/simulate serve --queries 16 --rounds 12 --seed 99 \
     --admit 4:250 --retire 8:16 --audit
-./target/release/simulate serve --queries 16 --rounds 12 --seed 99 --shared \
-    --admit 4:250 --retire 8:16 --digest --wave-threads 1 > "$tmp/serve1.txt"
-./target/release/simulate serve --queries 16 --rounds 12 --seed 99 --shared \
-    --admit 4:250 --retire 8:16 --digest --wave-threads 4 > "$tmp/serve4.txt"
-cmp "$tmp/serve1.txt" "$tmp/serve4.txt"
-grep -q 'discrepancies=0$' "$tmp/serve1.txt"
+for run in a b; do
+    ./target/release/simulate serve --queries 16 --rounds 12 --seed 99 --shared \
+        --admit 4:250 --retire 8:16 --digest > "$tmp/serve-$run.txt"
+done
+cmp "$tmp/serve-a.txt" "$tmp/serve-b.txt"
+grep -q 'discrepancies=0$' "$tmp/serve-a.txt"
 
 echo "==> monitor smoke (80-node/48-round/16-query monitored serve: zero"
-echo "    perturbation of the digest at 1/2/8 wave threads, a 1 mJ budget"
-echo "    raises BudgetOverrun deterministically with exit 1, and the"
-echo "    flight-recorder JSONL parses)"
+echo "    perturbation of the digest, a 1 mJ budget raises BudgetOverrun"
+echo "    deterministically with exit 1, and the flight-recorder JSONL parses)"
 ./target/release/simulate serve --queries 16 --nodes 80 --rounds 48 --seed 7 \
-    --shared --digest --wave-threads 1 > "$tmp/mon-off.txt"
-for w in 1 2 8; do
+    --shared --digest > "$tmp/mon-off.txt"
+for run in a b; do
     ./target/release/simulate serve --queries 16 --nodes 80 --rounds 48 --seed 7 \
-        --shared --digest --monitor --budget-mj 1 --wave-threads "$w" \
-        > "$tmp/mon-on$w.txt"
-    cmp "$tmp/mon-off.txt" "$tmp/mon-on$w.txt"
+        --shared --digest --monitor --budget-mj 1 > "$tmp/mon-on-$run.txt"
+    cmp "$tmp/mon-off.txt" "$tmp/mon-on-$run.txt"
 done
-for w in 1 2 8; do
+for run in a b; do
     if ./target/release/simulate serve --queries 16 --nodes 80 --rounds 48 \
-        --seed 7 --shared --budget-mj 1 --wave-threads "$w" \
-        --health-json "$tmp/health$w.jsonl" > "$tmp/mon-run$w.txt"; then
+        --seed 7 --shared --budget-mj 1 \
+        --health-json "$tmp/health-$run.jsonl" > "$tmp/mon-run-$run.txt"; then
         echo "monitor smoke: expected exit 1 from the 1 mJ budget overrun" >&2
         exit 1
     fi
-    grep -q 'kind=budget_overrun' "$tmp/mon-run$w.txt"
+    grep -q 'kind=budget_overrun' "$tmp/mon-run-$run.txt"
 done
-cmp "$tmp/health1.jsonl" "$tmp/health2.jsonl"
-cmp "$tmp/health1.jsonl" "$tmp/health8.jsonl"
-grep -q '"type":"health".*"kind":"budget_overrun"' "$tmp/health1.jsonl"
+cmp "$tmp/health-a.jsonl" "$tmp/health-b.jsonl"
+grep -q '"type":"health".*"kind":"budget_overrun"' "$tmp/health-a.jsonl"
 
 echo "==> bench regression gate (opt-in: set CI_BENCH_REGRESS=1; re-times"
 echo "    the harness benches and diffs medians against BENCH_baseline.json)"
@@ -114,6 +109,6 @@ echo "==> scale smoke (10k-node HBC throughput under a wall-clock budget)"
 # the outer timeout(1) additionally converts a hang into a hard failure.
 timeout --signal=KILL 120 \
     ./target/release/simulate scale --nodes 10000 --rounds 200 \
-    --wave-threads 2 --budget-secs 60
+    --budget-secs 60
 
 echo "ci.sh: all gates passed"
