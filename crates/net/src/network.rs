@@ -30,6 +30,7 @@ use std::any::{Any, TypeId};
 use crate::audit::{AuditLog, LaneBook, Phase, PhaseBreakdown, TxEvent, TxKind};
 use crate::bitset::NodeBits;
 use crate::energy::{EnergyLedger, RadioModel};
+use crate::geometry::Point;
 use crate::loss::LossModel;
 use crate::message::MessageSizes;
 use crate::reliability::{FailureModel, ReliabilityConfig, ReliabilityStats, WaveReport};
@@ -286,22 +287,18 @@ pub struct Network {
     bcast_recv: NodeBits,
 }
 
-/// Builds the node-id → histogram-slot map for `tree` (see
+/// The node-id → histogram-slot map for `tree`, in id order (see
 /// [`Network::histograms`]): tree nodes take their `bottom_up` position,
 /// everyone else is packed afterwards in ascending id order.
-fn hist_slots(tree: &RoutingTree, n: usize) -> Vec<u32> {
-    let mut slot = vec![u32::MAX; n];
-    for (pos, &u) in tree.bottom_up().iter().enumerate() {
-        slot[u.index()] = pos as u32;
-    }
+fn hist_slots(tree: &RoutingTree) -> impl Iterator<Item = u32> + '_ {
     let mut next = tree.tree_size() as u32;
-    for s in slot.iter_mut() {
-        if *s == u32::MAX {
-            *s = next;
+    (0..tree.len() as u32).map(move |id| match tree.wave_slot(NodeId(id)) {
+        Some(s) => s as u32,
+        None => {
             next += 1;
+            next - 1
         }
-    }
-    slot
+    })
 }
 
 /// One run-length cell of the histogram hot cache: `repeat` pending samples
@@ -334,6 +331,9 @@ struct SlotHists {
     /// One cell per `(wave slot, HistKind)`, slot-major: the four kinds of
     /// slot `s` live at `s * HistKind::COUNT ..`.
     hot: Vec<HistDelta>,
+    /// Reused slot permutation for [`NodeHistograms::reindex`] on a tree
+    /// change (new slot → old slot).
+    perm: Vec<u32>,
 }
 
 impl SlotHists {
@@ -341,6 +341,7 @@ impl SlotHists {
         SlotHists {
             store: NodeHistograms::new(n),
             hot: vec![HistDelta::default(); n * HistKind::COUNT],
+            perm: vec![0; n],
         }
     }
 
@@ -587,7 +588,7 @@ impl Network {
         if let Err(e) = sizes.validate() {
             panic!("invalid MessageSizes: {e}");
         }
-        let hist_slot = hist_slots(&tree, n);
+        let hist_slot = hist_slots(&tree).collect();
         let mut net = Network {
             topo,
             tree,
@@ -774,7 +775,7 @@ impl Network {
         // Fold the hot cache's pending runs into the snapshot (the live
         // cells stay put — this is a read).
         SlotHists::fold_pending(&self.hists.hot, &mut out);
-        out.reindex(|id| self.hist_slot[id] as usize);
+        out.reindex(&mut self.hist_slot.clone());
         out
     }
 
@@ -878,20 +879,16 @@ impl Network {
     /// dynamics-driven rebuilds ([`Network::dynamics_rebuild`]); charges
     /// nothing.
     fn install_tree(&mut self, tree: RoutingTree, orphans: usize) {
-        let n = self.len();
         // Flush the hot cache first: its cells are keyed by the *old*
         // wave slots, which the permutation below is about to re-map.
         let hists = &mut self.hists;
         SlotHists::fold_pending(&hists.hot, &mut hists.store);
         hists.hot.fill(HistDelta::default());
-        let old = std::mem::replace(&mut self.hist_slot, hist_slots(&tree, n));
-        let mut id_of_slot = vec![0u32; n];
-        for (id, &s) in self.hist_slot.iter().enumerate() {
-            id_of_slot[s as usize] = id as u32;
+        for (slot, new) in self.hist_slot.iter_mut().zip(hist_slots(&tree)) {
+            hists.perm[new as usize] = *slot;
+            *slot = new;
         }
-        hists
-            .store
-            .reindex(|s| old[id_of_slot[s] as usize] as usize);
+        hists.store.reindex(&mut hists.perm);
         self.tree = tree;
         self.rel_stats.orphaned_nodes = orphans as u64;
     }
@@ -910,7 +907,9 @@ impl Network {
     }
 
     /// Rebuilds the routing tree after a dynamics event: optionally
-    /// installs a re-derived disk graph (mobility moved the nodes), spans
+    /// re-derives the disk graph at new `positions` (mobility moved the
+    /// nodes; the radio range is unchanged) and swaps the previous
+    /// positions back into the caller's buffer for reuse, spans
     /// the surviving nodes over it ([`RoutingTree::spanning_alive`]), and
     /// charges a *beacon wave* under [`Phase::Rebuild`] — every non-root
     /// tree node confirms its (possibly new) parent link with one
@@ -923,15 +922,16 @@ impl Network {
     /// Returns the number of orphaned (alive but disconnected) sensors.
     ///
     /// # Panics
-    /// Panics if `topo` disagrees with the node universe size.
-    pub fn dynamics_rebuild(&mut self, topo: Option<Topology>) -> usize {
-        if let Some(t) = topo {
+    /// Panics if `positions` disagrees with the node universe size.
+    pub fn dynamics_rebuild(&mut self, positions: Option<&mut Vec<Point>>) -> usize {
+        if let Some(pos) = positions {
             assert_eq!(
-                t.len(),
+                pos.len(),
                 self.len(),
                 "dynamics cannot resize the node universe"
             );
-            self.topo = t;
+            let topo = Topology::build(std::mem::take(pos), self.topo.radio_range());
+            *pos = std::mem::replace(&mut self.topo, topo).into_positions();
         }
         let (tree, orphans) = RoutingTree::spanning_alive(&self.topo, &self.alive);
         let orphan_count = orphans.len();
@@ -1789,7 +1789,7 @@ mod tests {
         // depths: 1→1, 2→2, 3→3, 4→1.
         let mut positions: Vec<Point> = (0..5).map(|i| Point::new(i as f64 * 10.0, 0.0)).collect();
         positions[4] = Point::new(0.0, 10.0);
-        net.dynamics_rebuild(Some(Topology::build(positions, 12.0)));
+        net.dynamics_rebuild(Some(&mut positions));
         net.convergecast(one_value);
         net.end_round();
 

@@ -22,8 +22,8 @@ use crate::topology::{NodeId, Topology};
 pub struct RoutingTree {
     parent: Vec<Option<NodeId>>,
     /// CSR children: the children of `id` are
-    /// `children_flat[child_offsets[id] .. child_offsets[id + 1]]`, in the
-    /// same per-parent order the nested representation had.
+    /// `children_flat[child_offsets[id] .. child_offsets[id + 1]]`,
+    /// ascending by id.
     children_flat: Vec<NodeId>,
     child_offsets: Vec<u32>,
     depth: Vec<u32>,
@@ -44,78 +44,36 @@ pub struct RoutingTree {
 }
 
 impl RoutingTree {
-    /// Builds the shortest-path tree of `topo` rooted at the sink.
+    /// Builds the shortest-path tree of `topo` rooted at the sink: the
+    /// all-alive case of [`RoutingTree::spanning_alive`].
     ///
     /// # Errors
     /// Returns `Err` with the set of unreachable nodes if the physical graph
     /// is partitioned (the paper assumes this never happens, but callers on
     /// random placements need to detect and resample).
     pub fn shortest_path_tree(topo: &Topology) -> Result<Self, Vec<NodeId>> {
-        let n = topo.len();
-        let mut parent: Vec<Option<NodeId>> = vec![None; n];
-        let mut depth = vec![u32::MAX; n];
-        let mut order = Vec::with_capacity(n);
-
-        depth[0] = 0;
-        let mut frontier = vec![NodeId::ROOT];
-        order.push(NodeId::ROOT);
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &v in topo.neighbors(u) {
-                    if depth[v.index()] == u32::MAX {
-                        depth[v.index()] = depth[u.index()] + 1;
-                        parent[v.index()] = Some(u);
-                        next.push(v);
-                    } else if depth[v.index()] == depth[u.index()] + 1 {
-                        // Tie-break on Euclidean distance for determinism
-                        // and shorter (cheaper) links.
-                        let cur = parent[v.index()].expect("tie implies parent set");
-                        let d_cur = topo.position(v).dist(&topo.position(cur));
-                        let d_new = topo.position(v).dist(&topo.position(u));
-                        if d_new < d_cur {
-                            parent[v.index()] = Some(u);
-                        }
-                    }
-                }
-            }
-            next.sort_unstable();
-            next.dedup();
-            order.extend_from_slice(&next);
-            frontier = next;
+        let (tree, unreachable) = RoutingTree::spanning_alive(topo, &vec![true; topo.len()]);
+        if unreachable.is_empty() {
+            Ok(tree)
+        } else {
+            Err(unreachable)
         }
-
-        let unreachable: Vec<NodeId> = topo
-            .node_ids()
-            .filter(|id| depth[id.index()] == u32::MAX)
-            .collect();
-        if !unreachable.is_empty() {
-            return Err(unreachable);
-        }
-        // Connectivity and the BFS order must agree — on a 1-sensor network
-        // this is the whole tree, so a mismatch would silently drop the
-        // only measurement.
-        debug_assert_eq!(order.len(), n, "BFS order must cover the connected graph");
-
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for id in topo.node_ids().skip(1) {
-            let p = parent[id.index()].expect("non-root has parent");
-            children[p.index()].push(id);
-        }
-
-        let mut bottom_up = order;
-        bottom_up.reverse();
-
-        Ok(RoutingTree::finish(parent, children, depth, bottom_up))
     }
 
-    /// Rebuilds the shortest-path tree over the *surviving* disk graph
+    /// Builds the shortest-path tree over the *surviving* disk graph
     /// after crash-stop node failures: only nodes with `alive[i] == true`
     /// participate, orphaned subtrees are re-parented through whatever live
     /// detour exists, and nodes that end up with no live path to the sink
     /// are returned as the orphan list (never an error — a partitioned
     /// survivor graph is an expected runtime condition, unlike a
     /// partitioned deployment).
+    ///
+    /// The tree is a BFS by hop count; among equally shallow candidate
+    /// parents a node takes the Euclidean-closest, the first in id order on
+    /// an exact tie. Each node caches the squared distance to its current
+    /// parent, and a candidate costs a `sqrt` only when it is strictly
+    /// closer in squared distance — since `sqrt` is monotone this picks the
+    /// same parent as comparing the two distances themselves.
     ///
     /// Dead and orphaned nodes keep their slots (the tree stays
     /// full-length) but have no parent, no children, depth `u32::MAX`, and
@@ -131,39 +89,41 @@ impl RoutingTree {
         assert!(alive.len() >= n, "alive mask shorter than topology");
         assert!(alive[0], "the sink cannot fail");
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        let mut parent_dist_sq = vec![0.0f64; n];
         let mut depth = vec![u32::MAX; n];
+        // BFS order; level `d` is `order[level .. end]` while it expands.
         let mut order = Vec::with_capacity(n);
 
         depth[0] = 0;
-        let mut frontier = vec![NodeId::ROOT];
         order.push(NodeId::ROOT);
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &u in &frontier {
+        let mut level = 0;
+        while level < order.len() {
+            let end = order.len();
+            for f in level..end {
+                let u = order[f];
+                let (pu, du) = (topo.position(u), depth[u.index()] + 1);
                 for &v in topo.neighbors(u) {
-                    if !alive[v.index()] {
-                        continue;
-                    }
-                    if depth[v.index()] == u32::MAX {
-                        depth[v.index()] = depth[u.index()] + 1;
-                        parent[v.index()] = Some(u);
-                        next.push(v);
-                    } else if depth[v.index()] == depth[u.index()] + 1 {
-                        // Same tie-break as `shortest_path_tree`: prefer the
-                        // geometrically closer parent, deterministically.
-                        let cur = parent[v.index()].expect("tie implies parent set");
-                        let d_cur = topo.position(v).dist(&topo.position(cur));
-                        let d_new = topo.position(v).dist(&topo.position(u));
-                        if d_new < d_cur {
-                            parent[v.index()] = Some(u);
+                    let vi = v.index();
+                    let d_sq = topo.position(v).dist_sq(&pu);
+                    if depth[vi] == u32::MAX {
+                        if alive[vi] {
+                            depth[vi] = du;
+                            parent[vi] = Some(u);
+                            parent_dist_sq[vi] = d_sq;
+                            order.push(v);
+                        }
+                    } else if (depth[vi] == du) & (d_sq < parent_dist_sq[vi]) {
+                        // Tie-break on Euclidean distance for determinism
+                        // and shorter (cheaper) links.
+                        if d_sq.sqrt() < parent_dist_sq[vi].sqrt() {
+                            parent[vi] = Some(u);
+                            parent_dist_sq[vi] = d_sq;
                         }
                     }
                 }
             }
-            next.sort_unstable();
-            next.dedup();
-            order.extend_from_slice(&next);
-            frontier = next;
+            order[end..].sort_unstable();
+            level = end;
         }
 
         let orphans: Vec<NodeId> = topo
@@ -171,19 +131,10 @@ impl RoutingTree {
             .filter(|id| alive[id.index()] && depth[id.index()] == u32::MAX)
             .collect();
 
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for &id in order.iter().skip(1) {
-            let p = parent[id.index()].expect("connected non-root has parent");
-            children[p.index()].push(id);
-        }
-
         let mut bottom_up = order;
         bottom_up.reverse();
 
-        (
-            RoutingTree::finish(parent, children, depth, bottom_up),
-            orphans,
-        )
+        (RoutingTree::finish(parent, depth, bottom_up), orphans)
     }
 
     /// Builds a routing tree from explicit parent pointers (`None` exactly
@@ -200,30 +151,25 @@ impl RoutingTree {
         if n == 0 || parent[0].is_some() {
             return Err(vec![NodeId::ROOT]);
         }
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let mut bad = Vec::new();
-        for (i, p) in parent.iter().enumerate().skip(1) {
-            match p {
-                Some(p) if p.index() < n && p.index() != i => {
-                    children[p.index()].push(NodeId(i as u32));
-                }
-                _ => bad.push(NodeId(i as u32)),
-            }
-        }
+        let bad: Vec<NodeId> = (1..n)
+            .filter(|&i| !matches!(parent[i], Some(p) if p.index() < n && p.index() != i))
+            .map(|i| NodeId(i as u32))
+            .collect();
         if !bad.is_empty() {
             return Err(bad);
         }
         // BFS from the root assigns depths and detects unreachable nodes
         // (which is what a cycle reduces to).
+        let (child_offsets, children_flat) = csr_children(&parent);
         let mut depth = vec![u32::MAX; n];
         depth[0] = 0;
         let mut order = vec![NodeId::ROOT];
         let mut head = 0usize;
         while head < order.len() {
-            let u = order[head];
+            let u = order[head].index();
             head += 1;
-            for &c in &children[u.index()] {
-                depth[c.index()] = depth[u.index()] + 1;
+            for &c in &children_flat[child_offsets[u] as usize..child_offsets[u + 1] as usize] {
+                depth[c.index()] = depth[u] + 1;
                 order.push(c);
             }
         }
@@ -236,29 +182,17 @@ impl RoutingTree {
         }
         let mut bottom_up = order;
         bottom_up.reverse();
-        Ok(RoutingTree::finish(parent, children, depth, bottom_up))
+        Ok(RoutingTree::finish(parent, depth, bottom_up))
     }
 
     /// Flattens the constructor state into the struct-of-arrays form every
     /// wave runs on: CSR children, the id → wave-slot permutation, level
     /// runs and per-position parent slots.
-    /// Shared by all three constructors so the invariants hold for built,
+    /// Shared by both constructors so the invariants hold for built,
     /// repaired, and hand-made trees alike.
-    fn finish(
-        parent: Vec<Option<NodeId>>,
-        children: Vec<Vec<NodeId>>,
-        depth: Vec<u32>,
-        bottom_up: Vec<NodeId>,
-    ) -> RoutingTree {
+    fn finish(parent: Vec<Option<NodeId>>, depth: Vec<u32>, bottom_up: Vec<NodeId>) -> RoutingTree {
         let n = parent.len();
-
-        let mut child_offsets = Vec::with_capacity(n + 1);
-        let mut children_flat = Vec::with_capacity(n.saturating_sub(1));
-        for kids in &children {
-            child_offsets.push(children_flat.len() as u32);
-            children_flat.extend_from_slice(kids);
-        }
-        child_offsets.push(children_flat.len() as u32);
+        let (child_offsets, children_flat) = csr_children(&parent);
 
         let mut wave_slot = vec![u32::MAX; n];
         for (pos, &u) in bottom_up.iter().enumerate() {
@@ -412,6 +346,30 @@ impl RoutingTree {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Children lists in CSR form (`offsets`, flat ids): the children of `p` are
+/// `flat[offsets[p] .. offsets[p + 1]]`, ascending by id. In a BFS tree a
+/// parent's children all sit in one BFS level, which is itself sorted by
+/// id, so id order is also BFS order.
+fn csr_children(parent: &[Option<NodeId>]) -> (Vec<u32>, Vec<NodeId>) {
+    let n = parent.len();
+    let mut offsets = vec![0u32; n + 1];
+    for p in parent.iter().flatten() {
+        offsets[p.index() + 1] += 1;
+    }
+    for i in 1..=n {
+        offsets[i] += offsets[i - 1];
+    }
+    let mut flat = vec![NodeId::ROOT; offsets[n] as usize];
+    let mut fill = offsets.clone();
+    for (i, p) in parent.iter().enumerate() {
+        if let Some(p) = p {
+            flat[fill[p.index()] as usize] = NodeId(i as u32);
+            fill[p.index()] += 1;
+        }
+    }
+    (offsets, flat)
 }
 
 #[cfg(test)]
@@ -694,6 +652,168 @@ mod tests {
         ])
         .unwrap();
         assert_soa_invariants(&custom);
+    }
+
+    /// The pre-CSR shortest-path tree, kept as a naive reference: a
+    /// per-level BFS with nested child lists and the two-`sqrt`
+    /// tie-break. Returns (parent, children, depth, bottom_up,
+    /// level_offsets, parent_slot, orphans).
+    #[allow(clippy::type_complexity)]
+    fn reference_tree(
+        topo: &Topology,
+        alive: &[bool],
+    ) -> (
+        Vec<Option<NodeId>>,
+        Vec<Vec<NodeId>>,
+        Vec<u32>,
+        Vec<NodeId>,
+        Vec<u32>,
+        Vec<u32>,
+        Vec<NodeId>,
+    ) {
+        let n = topo.len();
+        let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        let mut depth = vec![u32::MAX; n];
+        let mut order = vec![NodeId::ROOT];
+        depth[0] = 0;
+        let mut frontier = vec![NodeId::ROOT];
+        while !frontier.is_empty() {
+            let mut next = Vec::new();
+            for &u in &frontier {
+                for &v in topo.neighbors(u) {
+                    if !alive[v.index()] {
+                        continue;
+                    }
+                    if depth[v.index()] == u32::MAX {
+                        depth[v.index()] = depth[u.index()] + 1;
+                        parent[v.index()] = Some(u);
+                        next.push(v);
+                    } else if depth[v.index()] == depth[u.index()] + 1 {
+                        let cur = parent[v.index()].unwrap();
+                        let d_cur = topo.position(v).dist(&topo.position(cur));
+                        let d_new = topo.position(v).dist(&topo.position(u));
+                        if d_new < d_cur {
+                            parent[v.index()] = Some(u);
+                        }
+                    }
+                }
+            }
+            next.sort_unstable();
+            next.dedup();
+            order.extend_from_slice(&next);
+            frontier = next;
+        }
+        let mut children = vec![Vec::new(); n];
+        for &id in order.iter().skip(1) {
+            children[parent[id.index()].unwrap().index()].push(id);
+        }
+        let bottom_up: Vec<NodeId> = order.into_iter().rev().collect();
+        let mut level_offsets = vec![0u32];
+        for pos in 1..bottom_up.len() {
+            if depth[bottom_up[pos].index()] != depth[bottom_up[pos - 1].index()] {
+                level_offsets.push(pos as u32);
+            }
+        }
+        level_offsets.push(bottom_up.len() as u32);
+        let slot_of = |id: NodeId| bottom_up.iter().position(|&u| u == id).unwrap() as u32;
+        let parent_slot = bottom_up
+            .iter()
+            .map(|&u| parent[u.index()].map_or(u32::MAX, slot_of))
+            .collect();
+        let orphans = (0..n)
+            .filter(|&i| alive[i] && depth[i] == u32::MAX)
+            .map(|i| NodeId(i as u32))
+            .collect();
+        (
+            parent,
+            children,
+            depth,
+            bottom_up,
+            level_offsets,
+            parent_slot,
+            orphans,
+        )
+    }
+
+    #[test]
+    fn both_entry_points_match_the_naive_reference() {
+        let (mut connected, mut partitioned, mut partly_dead) = (0, 0, 0);
+        for case in 0..120u64 {
+            let mut rng = crate::splitmix::SplitMix64::new(case);
+            let n = 2 + (rng.next_u64() % 120) as usize;
+            // A coarse lattice in a third of the cases makes exact
+            // distance ties common.
+            let lattice = case % 3 == 0;
+            let positions: Vec<Point> = (0..n)
+                .map(|_| {
+                    let (x, y) = (rng.next_f64() * 100.0, rng.next_f64() * 100.0);
+                    if lattice {
+                        Point::new((x / 10.0).floor() * 10.0, (y / 10.0).floor() * 10.0)
+                    } else {
+                        Point::new(x, y)
+                    }
+                })
+                .collect();
+            let topo = Topology::build(positions, 10.0 + rng.next_f64() * 30.0);
+            let all = vec![true; n];
+            let mut alive = all.clone();
+            if case % 2 == 1 {
+                for a in alive.iter_mut().skip(1) {
+                    *a = rng.next_f64() > 0.2;
+                }
+            }
+            for (mask, spt) in [(&all, true), (&alive, false)] {
+                let want = reference_tree(&topo, mask);
+                let (tree, orphans) = if spt {
+                    match RoutingTree::shortest_path_tree(&topo) {
+                        Ok(tree) => (tree, Vec::new()),
+                        Err(unreachable) => {
+                            assert_eq!(unreachable, want.6, "case {case}");
+                            partitioned += 1;
+                            continue;
+                        }
+                    }
+                } else {
+                    RoutingTree::spanning_alive(&topo, mask)
+                };
+                if spt {
+                    connected += 1;
+                } else if mask.iter().any(|&a| !a) {
+                    partly_dead += 1;
+                }
+                for id in topo.node_ids() {
+                    let i = id.index();
+                    assert_eq!(tree.parent(id), want.0[i], "case {case} parent of {id}");
+                    assert_eq!(tree.children(id), want.1[i].as_slice(), "case {case} {id}");
+                    assert_eq!(tree.depth(id), want.2[i], "case {case} depth of {id}");
+                }
+                assert_eq!(tree.bottom_up(), want.3.as_slice(), "case {case}");
+                assert_eq!(tree.level_offsets(), want.4.as_slice(), "case {case}");
+                assert_eq!(tree.parent_slots(), want.5.as_slice(), "case {case}");
+                assert_eq!(orphans, want.6, "case {case}");
+            }
+        }
+        assert!(connected > 10 && partitioned > 10 && partly_dead > 10);
+    }
+
+    #[test]
+    fn cached_distance_tie_break_matches_the_sqrt_rule_bit_for_bit() {
+        // Two relays whose squared distances to `v` differ in the last bit
+        // but share a sqrt: comparing distances keeps the first relay (in
+        // id order), as it always did; comparing squared distances alone
+        // would switch to the second.
+        let v = Point::new(0.0, 0.0);
+        let relay = |j: u32| Point::new(1.5, j as f64 * 1e-9);
+        let (first, second) = (1..100_000u32)
+            .map(|j| (relay(j), relay(j - 1)))
+            .find(|(a, b)| v.dist_sq(a) > v.dist_sq(b) && v.dist(a) == v.dist(b))
+            .expect("adjacent squared distances near 2.25 share sqrts");
+        // The sink hears both relays; `v` hears only the relays.
+        let positions = vec![Point::new(3.0, 0.0), first, second, v];
+        let topo = Topology::build(positions, 1.6);
+        let tree = RoutingTree::shortest_path_tree(&topo).unwrap();
+        assert_eq!(tree.depth(NodeId(3)), 2);
+        assert_eq!(tree.parent(NodeId(3)), Some(NodeId(1)));
     }
 
     #[test]

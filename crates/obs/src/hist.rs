@@ -296,15 +296,37 @@ impl NodeHistograms {
     }
 
     /// Rearranges the slots in place so that slot `new` afterwards holds
-    /// what slot `map(new)` held before. `map` must be a permutation of
-    /// `0..len`. This is how the network engine keeps its histograms in
-    /// wave order (contiguous along the convergecast hot path) while still
-    /// presenting node-id order at its API boundary — and re-keys them when
-    /// a tree repair changes the wave order.
-    pub fn reindex(&mut self, map: impl Fn(usize) -> usize) {
-        let old = self.nodes.clone();
-        for (new, set) in self.nodes.iter_mut().enumerate() {
-            *set = old[map(new)];
+    /// what slot `map[new]` held before. `map` must be a permutation of
+    /// `0..len`; it is used as scratch and left as the identity. This is
+    /// how the network engine keeps its histograms in wave order
+    /// (contiguous along the convergecast hot path) while still presenting
+    /// node-id order at its API boundary — and re-keys them when a tree
+    /// repair changes the wave order.
+    ///
+    /// Follows each cycle of `map` once, so it copies every moved slot
+    /// once and allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `map` has the wrong length or is not a permutation.
+    pub fn reindex(&mut self, map: &mut [u32]) {
+        assert_eq!(map.len(), self.nodes.len(), "reindex map length");
+        for start in 0..map.len() {
+            if map[start] as usize == start {
+                continue;
+            }
+            let held = self.nodes[start];
+            let mut cur = start;
+            loop {
+                let src = map[cur] as usize;
+                map[cur] = cur as u32;
+                if src == start {
+                    break;
+                }
+                assert_ne!(src, cur, "reindex map is not a permutation");
+                self.nodes[cur] = self.nodes[src];
+                cur = src;
+            }
+            self.nodes[cur] = held;
         }
     }
 
@@ -476,11 +498,66 @@ mod tests {
         nh.record(1, HistKind::MsgBits, 2);
         nh.record(2, HistKind::MsgBits, 4);
         // Rotate: new slot i takes old slot (i + 1) % 3.
-        nh.reindex(|i| (i + 1) % 3);
+        let mut map = [1, 2, 0];
+        nh.reindex(&mut map);
+        assert_eq!(map, [0, 1, 2], "the map is left as the identity");
         assert_eq!(nh.node(0).get(HistKind::MsgBits).sum(), 2);
         assert_eq!(nh.node(1).get(HistKind::MsgBits).sum(), 4);
         assert_eq!(nh.node(2).get(HistKind::MsgBits).sum(), 1);
         assert_eq!(nh.total().get(HistKind::MsgBits).count(), 3);
+    }
+
+    #[test]
+    fn reindex_matches_a_cloned_permutation() {
+        let mut s: u64 = 7;
+        let mut next = |bound: usize| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 33) as usize) % bound
+        };
+        for n in [1usize, 2, 3, 17, 64] {
+            for trial in 0..12 {
+                let mut nh = NodeHistograms::new(n);
+                for slot in 0..n {
+                    for _ in 0..=next(4) {
+                        nh.record(
+                            slot,
+                            HistKind::ALL[next(HistKind::COUNT)],
+                            next(1 << 20) as u64,
+                        );
+                    }
+                }
+                // Trial 0 is the identity. Otherwise the first `t` slots
+                // (the tree) are shuffled and the tail (dead and orphan
+                // slots) is either kept in place or shuffled among itself.
+                let mut map: Vec<u32> = (0..n as u32).collect();
+                if trial > 0 {
+                    let t = next(n + 1);
+                    for i in (1..t).rev() {
+                        map.swap(i, next(i + 1));
+                    }
+                    if trial % 2 == 0 {
+                        for i in (t + 1..n).rev() {
+                            map.swap(i, t + next(i - t + 1));
+                        }
+                    }
+                }
+                let old = nh.clone();
+                let expect: Vec<HistogramSet> =
+                    map.iter().map(|&m| *old.node(m as usize)).collect();
+                nh.reindex(&mut map.clone());
+                for (slot, set) in expect.iter().enumerate() {
+                    assert_eq!(nh.node(slot), set, "n={n} trial={trial} slot={slot}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn reindex_rejects_a_non_permutation() {
+        NodeHistograms::new(3).reindex(&mut [1, 1, 0]);
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub struct DynamicsState {
     drift: Option<LossDrift>,
     /// Churn draws (one per sensor per round, outcome-independent).
     rng: Rng,
-    radio_range: f64,
+    /// Position buffer handed to each rebuild and swapped back by it.
+    positions: Vec<Point>,
 }
 
 impl DynamicsState {
@@ -77,7 +78,7 @@ impl DynamicsState {
             walk,
             drift,
             rng: dyn_rng,
-            radio_range: topo.radio_range(),
+            positions: Vec::with_capacity(topo.len()),
         }
     }
 
@@ -109,10 +110,10 @@ impl DynamicsState {
             changed = true;
         }
         if changed {
-            let mut positions = Vec::with_capacity(net.len());
-            positions.push(self.sink);
-            positions.extend_from_slice(self.walk.positions());
-            net.dynamics_rebuild(Some(Topology::build(positions, self.radio_range)));
+            self.positions.clear();
+            self.positions.push(self.sink);
+            self.positions.extend_from_slice(self.walk.positions());
+            net.dynamics_rebuild(Some(&mut self.positions));
         }
         changed
     }

@@ -103,6 +103,18 @@ else
     echo "    skipped (CI_BENCH_REGRESS unset)"
 fi
 
+echo "==> benchmark pin gate (perfbench self-tests, then a 1-s untraced run of"
+echo "    each workload: every run recomputes the digests pinned in"
+echo "    perfbench/pins.txt and exits non-zero on drift or a failed operation)"
+bench_target="${CARGO_TARGET_DIR:-$PWD/.bench_build}"
+CARGO_TARGET_DIR="$bench_target" \
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for workload in paper-static dynamic-churn serve-audited fuzz-campaign; do
+    CARGO_TARGET_DIR="$bench_target" python3 perfbench/run.py \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        > "$tmp/bench-$workload.json"
+done
+
 echo "==> scale smoke (10k-node HBC throughput under a wall-clock budget)"
 # The internal budget catches throughput regressions (~0.6 s on the
 # 1-core reference box; 60 s is ~100x headroom for slow CI hardware);
