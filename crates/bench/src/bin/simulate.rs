@@ -132,6 +132,14 @@ fn usage_error(msg: String) -> ! {
     std::process::exit(2);
 }
 
+/// Bad input rather than bad usage (an out-of-domain value, an unreadable
+/// or unwritable file, a malformed or unrunnable line): one `error:` line
+/// on stderr, exit 2.
+fn input_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 /// The value after the flag at `argv[*i]` (advancing `i` onto it), parsed
 /// as `T`. A missing or unparsable value is a usage error.
 fn flag_value<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> T
@@ -356,14 +364,9 @@ fn run_diff(paths: &[String]) -> ! {
         std::process::exit(2);
     };
     let load = |path: &String| -> Vec<wsn_net::obs::PacketRecord> {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: reading {path}: {e}");
-            std::process::exit(2);
-        });
-        parse_jsonl(&text).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        })
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| input_error(format!("reading {path}: {e}")));
+        parse_jsonl(&text).unwrap_or_else(|e| input_error(format!("{path}: {e}")))
     };
     let (a, b) = (load(path_a), load(path_b));
     let d = wsn_net::obs::diff(&a, &b);
@@ -407,14 +410,9 @@ fn run_bench_diff(argv: &[String]) -> ! {
         usage_error("bench-diff takes exactly two results files".into());
     };
     let load = |path: &String| -> Json {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: reading {path}: {e}");
-            std::process::exit(2);
-        });
-        Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        })
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| input_error(format!("reading {path}: {e}")));
+        Json::parse(&text).unwrap_or_else(|e| input_error(format!("{path}: {e}")))
     };
     let cmp = wsn_bench::regress::compare(&load(baseline_path), &load(current_path), tolerance);
     print!("{}", cmp.render(tolerance));
@@ -456,7 +454,7 @@ fn run_fuzz(argv: &[String]) -> ! {
     if let Some(line) = repro {
         let scenario = match wsn_check::parse_line(&line) {
             Ok(s) => s,
-            Err(e) => usage_error(format!("--repro: {e}")),
+            Err(e) => input_error(format!("--repro: {e}")),
         };
         let report = wsn_check::check(&scenario);
         if report.violations.is_empty() {
@@ -474,11 +472,11 @@ fn run_fuzz(argv: &[String]) -> ! {
     if let Some(path) = &corpus {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
-            Err(e) => usage_error(format!("reading {path}: {e}")),
+            Err(e) => input_error(format!("reading {path}: {e}")),
         };
         let entries = match wsn_check::corpus_entries(&text) {
             Ok(e) => e,
-            Err(e) => usage_error(format!("{path}: {e}")),
+            Err(e) => input_error(format!("{path}: {e}")),
         };
         let mut regressed = 0usize;
         for (line, scenario) in &entries {
@@ -923,8 +921,7 @@ fn run_serve(argv: &[String]) -> ! {
         .validate()
         .and_then(|()| wsn_sim::validate_events(workload.len(), &events, rounds));
     if let Err(e) = valid {
-        eprintln!("error: {e}");
-        std::process::exit(2);
+        input_error(e)
     }
 
     // Any monitoring flag attaches the monitor; the flight recorder is
@@ -1038,8 +1035,7 @@ fn run_serve(argv: &[String]) -> ! {
         }
         if let Some(path) = &health_json {
             if let Err(e) = std::fs::write(path, m.health_jsonl()) {
-                eprintln!("error: --health-json {path}: {e}");
-                std::process::exit(2);
+                input_error(format!("--health-json {path}: {e}"))
             }
             eprintln!("wrote flight-recorder dump to {path}");
         }
@@ -1047,8 +1043,7 @@ fn run_serve(argv: &[String]) -> ! {
             let mut dump = wsn_net::obs::PromDump::new();
             m.prom(&mut dump);
             if let Err(e) = std::fs::write(path, dump.finish()) {
-                eprintln!("error: --metrics-out {path}: {e}");
-                std::process::exit(2);
+                input_error(format!("--metrics-out {path}: {e}"))
             }
             eprintln!("wrote monitor metrics to {path}");
         }
@@ -1091,8 +1086,7 @@ fn run_serve(argv: &[String]) -> ! {
             report.audit_discrepancies,
         ));
         if let Err(e) = std::fs::write(&path, out) {
-            eprintln!("error: --json {path}: {e}");
-            std::process::exit(2);
+            input_error(format!("--json {path}: {e}"))
         }
     }
     let unhealthy = monitor.as_ref().is_some_and(|m| m.is_unhealthy());
@@ -1133,10 +1127,7 @@ fn main() {
     };
     let cfg = match build_config(&args) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => input_error(e),
     };
 
     if args.csv.is_some() || args.events.is_some() || args.capture.is_some() {

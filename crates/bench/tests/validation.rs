@@ -1,7 +1,7 @@
 //! Binary-level tests of input validation at the `simulate` boundary:
-//! out-of-domain flags and serve events that would do nothing exit 2 with
-//! a one-line error before any run (or worker thread) starts, instead of
-//! panicking deep inside a run.
+//! out-of-domain flags, serve events that would do nothing and fuzz repro
+//! lines that cannot run exit 2 with a one-line error before any run (or
+//! worker thread) starts, instead of panicking deep inside a run.
 
 /// Runs the real `simulate` binary on the space-separated `args` and
 /// returns `(exit code, stderr)`.
@@ -75,4 +75,55 @@ fn serve_events_at_or_past_the_last_round_exit_2() {
     }
     let (code, err) = serve("--admit 7:250 --retire 7:0");
     assert_eq!(code, 0, "the last round still takes events: {err}");
+}
+
+/// A small, clean repro line in the `wsn_check::repro` dialect.
+const REPRO: &str = "{\"seed\":9,\"nodes\":5,\"range_milli\":2500,\"rounds\":3,\"runs\":1,\
+                     \"phi_milli\":500,\"loss_milli\":0,\"retries\":0,\"recovery\":0,\
+                     \"failure_milli\":0,\"source\":\"sinusoid\",\"p1\":16,\"p2\":100,\"p3\":0}";
+
+/// Asserts that `simulate fuzz --repro` of [`REPRO`] with `key` changed
+/// from `value` to 0 exits 2 with exactly one `error:` line naming the key.
+fn zeroed_repro_rejected(key: &str, value: u32) {
+    let line = REPRO.replace(&format!("\"{key}\":{value},"), &format!("\"{key}\":0,"));
+    assert_ne!(line, REPRO);
+    let (code, err) = simulate(&format!("fuzz --repro {line}"));
+    assert_eq!(code, 2, "{key}: {err}");
+    assert_eq!(err.lines().count(), 1, "one-line error: {err}");
+    assert!(
+        err.starts_with("error: --repro: field `") && err.contains(key),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_runnable_repro_line_replays_clean() {
+    assert_eq!(simulate(&format!("fuzz --repro {REPRO}")).0, 0);
+}
+
+#[test]
+fn repro_with_zero_nodes_exits_2() {
+    zeroed_repro_rejected("nodes", 5);
+}
+
+#[test]
+fn repro_with_zero_runs_exits_2() {
+    zeroed_repro_rejected("runs", 1);
+}
+
+#[test]
+fn repro_with_zero_radio_range_exits_2() {
+    zeroed_repro_rejected("range_milli", 2500);
+}
+
+#[test]
+fn corpus_with_an_unrunnable_line_exits_2() {
+    let path = std::env::temp_dir().join(format!("unrunnable-{}.txt", std::process::id()));
+    let line = REPRO.replace("\"nodes\":5", "\"nodes\":0");
+    std::fs::write(&path, format!("# pinned\n{line}\n")).unwrap();
+    let (code, err) = simulate(&format!("fuzz --scenarios 0 --corpus {}", path.display()));
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(code, 2, "{err}");
+    assert_eq!(err.lines().count(), 1, "one-line error: {err}");
+    assert!(err.contains("line 2: field `nodes`"), "{err}");
 }

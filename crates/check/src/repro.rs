@@ -9,7 +9,7 @@
 //! corpus diffs stay minimal. The parser is a tiny scanner over this
 //! self-generated dialect, not a general JSON parser.
 
-use wsn_sim::{DataSource, Scenario};
+use wsn_sim::{ConfigError, DataSource, Scenario};
 
 /// Serializes a scenario as one flat JSON line.
 ///
@@ -98,7 +98,8 @@ fn uint_or<T: TryFrom<i128>>(line: &str, key: &str, default: T) -> Result<T, Str
 
 /// Parses one repro line back into a scenario. Accepts exactly the
 /// dialect [`to_line`] produces; anything else is an `Err` naming the
-/// first offending field.
+/// first offending field. So is a well-formed line that cannot run
+/// ([`Scenario::validate`]), such as one with zero nodes.
 pub fn parse_line(line: &str) -> Result<Scenario, String> {
     let line = line.trim();
     if !line.starts_with('{') || !line.ends_with('}') {
@@ -135,7 +136,7 @@ pub fn parse_line(line: &str) -> Result<Scenario, String> {
         },
         other => return Err(format!("unknown source kind `{other}`")),
     };
-    Ok(Scenario {
+    let scenario = Scenario {
         seed,
         nodes,
         range_milli: uint(line, "range_milli")?,
@@ -154,7 +155,25 @@ pub fn parse_line(line: &str) -> Result<Scenario, String> {
         drift_milli: uint_or(line, "drift_milli", 0)?,
         duty_milli: uint_or(line, "duty_milli", 0)?,
         source,
-    })
+    };
+    scenario.validate().map_err(|e| match e {
+        ConfigError::OutOfRange(config_field, ..) => {
+            format!("field `{}`: {e}", repro_key(config_field))
+        }
+        other => other.to_string(),
+    })?;
+    Ok(scenario)
+}
+
+/// The repro key a [`wsn_sim::SimulationConfig`] field that validation
+/// can reject is expanded from ([`Scenario::to_config`] clamps the rest).
+fn repro_key(config_field: &str) -> &str {
+    match config_field {
+        "sensor_count" => "nodes",
+        "radio_range" => "range_milli",
+        "dataset.noise_percent" => "p2",
+        same => same,
+    }
 }
 
 #[cfg(test)]
@@ -235,5 +254,37 @@ mod tests {
         let s = gen::scenario(1, 0);
         let negative = to_line(&s).replace(&format!("\"nodes\":{}", s.nodes), "\"nodes\":-3");
         assert!(parse_line(&negative).is_err(), "negative counts rejected");
+    }
+
+    #[test]
+    fn rejects_well_formed_lines_that_cannot_run() {
+        let s = gen::scenario(1, 0);
+        let line = to_line(&s);
+        for (key, value, names) in [
+            ("nodes", s.nodes as u64, "field `nodes`: sensor_count = 0"),
+            ("runs", s.runs as u64, "field `runs`: runs = 0"),
+            (
+                "range_milli",
+                s.range_milli as u64,
+                "field `range_milli`: radio_range = 0",
+            ),
+        ] {
+            let zero = line.replace(&format!("\"{key}\":{value},"), &format!("\"{key}\":0,"));
+            assert_ne!(zero, line, "{key} must be in the line");
+            let err = parse_line(&zero).unwrap_err();
+            assert!(err.starts_with(names), "{key}: {err}");
+        }
+        let noisy = Scenario {
+            source: DataSource::Sinusoid {
+                period: 16,
+                noise_permille: 1001,
+            },
+            ..s
+        };
+        let err = parse_line(&to_line(&noisy)).unwrap_err();
+        assert!(
+            err.starts_with("field `p2`: dataset.noise_percent"),
+            "{err}"
+        );
     }
 }

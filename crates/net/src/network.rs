@@ -907,9 +907,10 @@ impl Network {
     }
 
     /// Rebuilds the routing tree after a dynamics event: optionally
-    /// re-derives the disk graph at new `positions` (mobility moved the
-    /// nodes; the radio range is unchanged) and swaps the previous
-    /// positions back into the caller's buffer for reuse, spans
+    /// re-derives the disk graph at new `positions` (mobility or churn
+    /// moved the nodes; the radio range is unchanged; only links with a
+    /// moved endpoint are re-tested) and swaps the previous positions back
+    /// into the caller's buffer for reuse, spans
     /// the surviving nodes over it ([`RoutingTree::spanning_alive`]), and
     /// charges a *beacon wave* under [`Phase::Rebuild`] — every non-root
     /// tree node confirms its (possibly new) parent link with one
@@ -930,8 +931,7 @@ impl Network {
                 self.len(),
                 "dynamics cannot resize the node universe"
             );
-            let topo = Topology::build(std::mem::take(pos), self.topo.radio_range());
-            *pos = std::mem::replace(&mut self.topo, topo).into_positions();
+            self.topo.relocate(pos);
         }
         let (tree, orphans) = RoutingTree::spanning_alive(&self.topo, &self.alive);
         let orphan_count = orphans.len();

@@ -1,5 +1,6 @@
 //! Seeded property tests of the network substrate: the disk graph against a
-//! brute-force oracle (random and adversarial geometry), shortest-path-tree
+//! brute-force oracle (random and adversarial geometry), incremental
+//! rebuild chains against fresh builds, shortest-path-tree
 //! depths, fragmentation, wave completeness, ledger totals and tx-energy
 //! monotonicity.
 //!
@@ -216,6 +217,134 @@ fn two_node_graphs() {
     assert!(topo.neighbors(NodeId(1)).is_empty());
     let topo = assert_matches_oracle(vec![a, a], 1e-9, "co-located");
     assert_eq!(topo.neighbors(NodeId(1)), &[NodeId(0)]);
+}
+
+/// Asserts that `topo` is the graph a fresh build over its positions
+/// gives, and the brute-force disk graph.
+fn assert_equals_fresh_build(topo: &Topology, what: &str) {
+    let positions: Vec<Point> = topo.node_ids().map(|id| topo.position(id)).collect();
+    let expect = oracle(&positions, topo.radio_range());
+    let fresh = Topology::build(positions, topo.radio_range());
+    for id in topo.node_ids() {
+        assert_eq!(
+            topo.neighbors(id),
+            fresh.neighbors(id),
+            "{what}: row {id} differs from a fresh build"
+        );
+        assert_eq!(topo.neighbors(id), expect[id.index()], "{what}: row {id}");
+    }
+}
+
+/// One step of a relocation chain: which nodes move, and where to.
+fn relocation_step(g: &mut Gen, step: usize, positions: &mut [Point], range: f64, side: f64) {
+    let n = positions.len();
+    let anywhere = |g: &mut Gen| Point::new(g.f64_in(-0.1, 1.1) * side, g.f64_in(-0.1, 1.1) * side);
+    match step % 8 {
+        // Nothing moves.
+        0 => {}
+        // One node.
+        1 => positions[g.usize_in(0, n)] = anywhere(g),
+        // k nodes, some of them possibly twice.
+        2 => {
+            for _ in 0..g.usize_in(2, n.max(3)) {
+                positions[g.usize_in(0, n)] = anywhere(g);
+            }
+        }
+        // Every node, by a small jitter or to a fresh spot.
+        3 => {
+            let jitter = g.f64_in(0.0, range);
+            for p in positions.iter_mut() {
+                *p = if jitter < range / 2.0 {
+                    Point::new(
+                        p.x + g.f64_in(-jitter, jitter),
+                        p.y + g.f64_in(-jitter, jitter),
+                    )
+                } else {
+                    anywhere(g)
+                };
+            }
+        }
+        // Onto another node's exact position.
+        4 => {
+            let (i, j) = (g.usize_in(0, n), g.usize_in(0, n));
+            positions[i] = positions[j];
+        }
+        // Exactly ρ from another node along an axis, or ρ = 5 units along
+        // a 3-4-5 diagonal: dyadic coordinates keep the distance exact.
+        5 => {
+            let (i, j) = (g.usize_in(0, n), g.usize_in(0, n));
+            let u = range / 5.0;
+            let (dx, dy) = [(5.0, 0.0), (0.0, -5.0), (3.0, 4.0), (-4.0, 3.0)][g.usize_in(0, 4)];
+            positions[i] = Point::new(positions[j].x + dx * u, positions[j].y + dy * u);
+        }
+        // Far outside the old extent: the grid grows past `4n` ρ-cells and
+        // merges cells; the next far step may bring the node back.
+        6 => {
+            let far = side * [1e3, -1e5, 1e7][g.usize_in(0, 3)];
+            positions[g.usize_in(0, n)] = Point::new(far, g.f64_in(0.0, side));
+        }
+        // Signed zeros: `-0.0` and `0.0` differ in bits, not in value.
+        _ => {
+            let i = g.usize_in(0, n);
+            let zero = if positions[i].x.to_bits() == 0.0f64.to_bits() {
+                -0.0
+            } else {
+                0.0
+            };
+            positions[i] = Point::new(zero, positions[i].y);
+        }
+    }
+}
+
+#[test]
+fn relocated_graphs_equal_fresh_builds() {
+    // Chains of rebuilds through `Network::dynamics_rebuild`, which keeps
+    // one topology and re-derives only the rows a move touched. After
+    // every step the graph must equal a from-scratch build, and the
+    // caller's buffer must hold the previous positions.
+    for case in 0..24 {
+        let mut g = Gen::new(11, case);
+        let n = if case < 2 { 2 } else { g.usize_in(3, 120) };
+        let side = g.f64_in(20.0, 200.0);
+        // Dyadic ranges on a ρ-lattice for half the cases, so that the
+        // exactly-ρ steps land exactly ρ away.
+        let lattice = case % 2 == 1;
+        let range = if lattice {
+            2.5 * (1 + g.usize_in(0, 8)) as f64
+        } else {
+            g.f64_in(5.0, 60.0)
+        };
+        let mut positions: Vec<Point> = if lattice {
+            let cols = (n as f64).sqrt().ceil() as usize;
+            (0..n)
+                .map(|i| Point::new((i % cols) as f64 * range, (i / cols) as f64 * range))
+                .collect()
+        } else {
+            g.points(n, side)
+        };
+        let topo = Topology::build(positions.clone(), range);
+        let (tree, _) = RoutingTree::spanning_alive(&topo, &vec![true; n]);
+        let mut net = Network::new(topo, tree, RadioModel::default(), MessageSizes::default());
+        for step in 0..64 {
+            let before = positions.clone();
+            let kind = if step < 8 { step } else { g.usize_in(0, 8) };
+            relocation_step(&mut g, kind, &mut positions, range, side);
+            let mut buf = positions.clone();
+            net.dynamics_rebuild(Some(&mut buf));
+            let what = format!("case {case} step {step} (kind {})", kind % 8);
+            assert_eq!(
+                buf.iter()
+                    .map(|p| (p.x.to_bits(), p.y.to_bits()))
+                    .collect::<Vec<_>>(),
+                before
+                    .iter()
+                    .map(|p| (p.x.to_bits(), p.y.to_bits()))
+                    .collect::<Vec<_>>(),
+                "{what}: the old positions come back"
+            );
+            assert_equals_fresh_build(net.topology(), &what);
+        }
+    }
 }
 
 #[test]

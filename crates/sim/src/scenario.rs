@@ -14,7 +14,7 @@ use wsn_data::pressure::{PressureConfig, RangeSetting};
 use wsn_data::synthetic::SyntheticConfig;
 use wsn_net::ReliabilityConfig;
 
-use crate::config::{AlgorithmKind, DatasetSpec, SimulationConfig};
+use crate::config::{AlgorithmKind, ConfigError, DatasetSpec, SimulationConfig};
 use crate::runner::AREA;
 use crate::service::ServeQuery;
 
@@ -190,6 +190,14 @@ impl Scenario {
             || self.churn_milli > 0
             || self.drift_milli > 0
             || self.duty_milli > 0
+    }
+
+    /// Checks that the scenario expands into a runnable configuration:
+    /// [`SimulationConfig::validate`] on [`Scenario::to_config`]. Rejects,
+    /// for instance, zero nodes, zero runs or a zero radio range, which
+    /// would otherwise panic inside every protocol of a battery.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.to_config().validate()
     }
 
     /// Expands the scenario into a full [`SimulationConfig`]. The audit

@@ -47,19 +47,34 @@ echo "    phi draws and 1-16-query serve workloads with solo-identity + lane"
 echo "    accounting checks, must be clean)"
 ./target/release/simulate fuzz --scenarios 100 --seed 42 \
     --corpus tests/fuzz_corpus.txt
+# A well-formed line that cannot run (no sensors) is bad input: exit 2.
+zero_nodes='{"seed":9,"nodes":0,"range_milli":2500,"rounds":3,"runs":1,"phi_milli":500,"loss_milli":0,"retries":0,"recovery":0,"failure_milli":0,"source":"sinusoid","p1":16,"p2":100,"p3":0}'
+status=0
+./target/release/simulate fuzz --repro "$zero_nodes" 2> "$tmp/zero.err" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q 'field `nodes`' "$tmp/zero.err"; then
+    echo "fuzz smoke: a zero-node repro line must exit 2, got $status" >&2
+    exit 1
+fi
 
 echo "==> dynamic-world smoke (200 fresh scenarios drawn over the mobility/"
-echo "    churn/drift/duty classes plus a mobile churning duty-cycled audit"
-echo "    run: must reconcile bit-exactly and replay byte-identically)"
+echo "    churn/drift/duty classes, plus mobile and churn-only duty-cycled"
+echo "    audit runs: must reconcile bit-exactly and replay byte-identically;"
+echo "    churn-only rounds re-derive only the disk-graph rows that moved)"
 ./target/release/simulate fuzz --scenarios 200 --seed 555
 ./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
     --mobility --churn --duty --seed 17 --audit
+./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
+    --churn --duty --seed 17 --audit
 for run in a b; do
     ./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
         --mobility --churn --drift --duty --loss 0.2 --retries 2 --seed 17 \
         --capture "$tmp/dyn-$run.jsonl"
+    ./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
+        --churn --duty --seed 17 --capture "$tmp/churn-$run.jsonl"
 done
 ./target/release/simulate diff "$tmp/dyn-a.jsonl" "$tmp/dyn-b.jsonl" \
+    | grep -q '^identical'
+./target/release/simulate diff "$tmp/churn-a.jsonl" "$tmp/churn-b.jsonl" \
     | grep -q '^identical'
 
 echo "==> serve smoke (16-query continuous service + mid-run admit/retire:"
