@@ -5,7 +5,7 @@
 //! simulate --algorithm IQ --nodes 500 --rounds 250 --runs 5
 //! simulate --algorithm HBC --dataset pressure --skip 8 --range pessimistic
 //! simulate --algorithm POS --loss 0.05
-//! simulate --algorithm IQ --csv trace.csv       # one traced run as CSV
+//! simulate --algorithm IQ --csv trace.csv       # run 0 traced as CSV
 //! simulate --all --nodes 300                    # compare every protocol
 //! simulate --algorithm IQ --events run.trace.json --capture run.jsonl \
 //!          --metrics-out metrics.prom           # telemetry exporters
@@ -22,7 +22,7 @@ use wsn_data::pressure::{PressureConfig, RangeSetting};
 use wsn_data::synthetic::SyntheticConfig;
 use wsn_sim::config::{AlgorithmKind, DatasetSpec, SimulationConfig};
 use wsn_sim::metrics::AggregatedMetrics;
-use wsn_sim::runner::run_experiment_threads;
+use wsn_sim::runner::{run_experiment_threads, World};
 
 #[derive(Debug)]
 struct Args {
@@ -91,27 +91,30 @@ impl Default for Args {
     }
 }
 
+/// Every protocol the CLI can run, in `--all` order. The sketch family
+/// runs at the default ε = 0.1 and derived capacity; pick other operating
+/// points through the library API.
+const ALGORITHMS: [AlgorithmKind; 12] = [
+    AlgorithmKind::Tag,
+    AlgorithmKind::Pos,
+    AlgorithmKind::LcllH,
+    AlgorithmKind::LcllS,
+    AlgorithmKind::LcllR,
+    AlgorithmKind::Hbc,
+    AlgorithmKind::HbcNb,
+    AlgorithmKind::Iq,
+    AlgorithmKind::Adaptive,
+    AlgorithmKind::Gk,
+    AlgorithmKind::QDigest { eps_milli: 100 },
+    AlgorithmKind::GkSink {
+        eps_milli: 100,
+        capacity: 0,
+    },
+];
+
 fn algorithm_by_name(name: &str) -> Option<AlgorithmKind> {
-    let all = [
-        AlgorithmKind::Tag,
-        AlgorithmKind::Pos,
-        AlgorithmKind::LcllH,
-        AlgorithmKind::LcllS,
-        AlgorithmKind::LcllR,
-        AlgorithmKind::Hbc,
-        AlgorithmKind::HbcNb,
-        AlgorithmKind::Iq,
-        AlgorithmKind::Adaptive,
-        AlgorithmKind::Gk,
-        // Sketch family at the default ε = 0.1 and derived capacity; pick
-        // other operating points through the library API.
-        AlgorithmKind::QDigest { eps_milli: 100 },
-        AlgorithmKind::GkSink {
-            eps_milli: 100,
-            capacity: 0,
-        },
-    ];
-    all.into_iter()
+    ALGORITHMS
+        .into_iter()
         .find(|a| a.name().eq_ignore_ascii_case(name))
 }
 
@@ -290,9 +293,10 @@ fn print_usage() {
        simulate bench-diff BASELINE.json CURRENT.json [--tolerance X]
 
 --audit replays every recorded transmission through the energy auditor and
-prints the per-phase energy breakdown; any ledger discrepancy makes the
-process exit with status 1. --json additionally writes the aggregated
-metrics (including per-phase energy/bits and audit counters) to FILE.
+prints the per-phase energy breakdown (on a traced run, the audit line of
+run 0); any ledger discrepancy makes the process exit with status 1.
+--json additionally writes the aggregated metrics (including per-phase
+energy/bits and audit counters) to FILE.
 
 Dynamic worlds (DESIGN.md §3.3k), each flag at a fixed documented
 operating point: --mobility moves every sensor on a waypoint walk by
@@ -304,12 +308,13 @@ charges a 10% idle-listen duty cycle to every alive sensor's ledger each
 round. Mobility and churn rebuild the routing tree (charged to the
 `rebuild` phase and replayed bit-exactly under --audit).
 
-Telemetry exporters (one traced run, like --csv): --events writes a
-Chrome-trace/Perfetto JSON span timeline, --capture writes a JSONL
-packet-level capture, --metrics-out writes a Prometheus-style text dump
-(with the full aggregated experiment instead when no traced-run flag is
-given). `simulate diff` compares two captures and reports the first
-divergent frame (exit 0 identical, 1 divergent, 2 on bad input).
+Telemetry exporters (like --csv, they trace run 0 of the experiment,
+with every world flag): --events writes a Chrome-trace/Perfetto JSON span
+timeline, --capture writes a JSONL packet-level capture, --metrics-out
+writes a Prometheus-style text dump (with the full aggregated experiment
+instead when no traced-run flag is given). `simulate diff` compares two
+captures and reports the first divergent frame (exit 0 identical, 1
+divergent, 2 on bad input).
 
 `simulate fuzz` runs the wsn-check invariant fuzzer: N seeded scenarios
 (default 100, seed 42), the 8-protocol battery (every paper protocol plus
@@ -648,45 +653,30 @@ fn write_file(path: &str, text: &str) -> Result<(), String> {
         .map_err(|e| format!("writing {path}: {e}"))
 }
 
-/// Runs one fully-instrumented run (the same world-building the runner
-/// does, retrying placement until connected) and emits whichever artifacts
-/// were requested: `--csv` per-round trace, `--events` Chrome-trace span
+/// Runs run 0 of the experiment the main path runs — the same
+/// `runner::World`, with every world flag (loss, ARQ, recovery, failures,
+/// dynamics) — fully instrumented, and emits whichever artifacts were
+/// requested: `--csv` per-round trace, `--events` Chrome-trace span
 /// timeline, `--capture` JSONL packet capture, `--metrics-out` Prometheus
-/// dump of the run's telemetry histograms and traffic totals.
-fn traced_run(args: &Args, cfg: &SimulationConfig) -> Result<(), String> {
-    use wsn_data::Rng;
-    use wsn_net::Network;
-
+/// dump of the run's telemetry histograms and traffic totals. Returns the
+/// energy auditor's discrepancy count under `--audit` (0 otherwise).
+fn traced_run(args: &Args, cfg: &SimulationConfig) -> Result<u64, String> {
     let kind = args
         .algorithm
         .ok_or("--csv/--events/--capture need --algorithm")?;
-    // Replay exactly run 0 of the experiment the runner would execute:
-    // same (seed, run-index) mixing, same placement-retry loop, same
-    // world — `runner::build_world` is the single implementation.
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 1);
-    let (mut dataset, topo, tree) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        wsn_sim::runner::build_world(cfg, &mut rng)
-    }))
-    .map_err(|_| "could not find a connected placement".to_string())?;
-    let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
     // The packet capture rides on the audit log; spans need the
-    // recorder. Only pay for what was asked.
-    net.set_audit(cfg.audit || args.capture.is_some());
-    net.set_telemetry(cfg.telemetry || args.events.is_some());
-    let query = cqp_core::QueryConfig::phi(
-        cfg.phi,
-        dataset.sensor_count(),
-        dataset.range_min(),
-        dataset.range_max(),
-    );
-    let mut alg = kind.build(query, &cfg.sizes);
-    let trace = wsn_sim::trace::trace_run(
-        &mut net,
-        alg.as_mut(),
-        dataset.as_mut(),
-        cfg.rounds,
-        query.k,
-    );
+    // recorder. Only pay for what was asked: both are pure observers,
+    // so the run is the same either way.
+    let cfg = SimulationConfig {
+        audit: cfg.audit || args.capture.is_some(),
+        telemetry: cfg.telemetry || args.events.is_some(),
+        ..cfg.clone()
+    };
+    let mut world = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| World::new(&cfg, 0)))
+        .map_err(|_| "could not find a connected placement".to_string())?;
+    let mut alg = kind.build(world.query(), &cfg.sizes);
+    let trace = wsn_sim::trace::trace_run(&mut world, alg.as_mut(), cfg.rounds);
+    let net = &world.net;
     if let Some(path) = &args.csv {
         write_file(path, &wsn_sim::trace::to_csv(&trace))?;
         eprintln!("wrote {} rounds to {path}", trace.len());
@@ -722,7 +712,25 @@ fn traced_run(args: &Args, cfg: &SimulationConfig) -> Result<(), String> {
         write_file(path, &dump.finish())?;
         eprintln!("wrote telemetry metrics to {path}");
     }
-    Ok(())
+    if !args.audit {
+        return Ok(0);
+    }
+    let report = wsn_net::EnergyAuditor::verify(net);
+    println!(
+        "audit: {} events replayed, {} discrepancies",
+        report.events,
+        report.discrepancies.len()
+    );
+    Ok(report.discrepancies.len() as u64)
+}
+
+/// Prints the `--audit` verdict and exits 1 on any ledger discrepancy.
+fn audit_verdict(discrepancies: u64) {
+    if discrepancies > 0 {
+        eprintln!("energy audit FAILED: {discrepancies} ledger discrepancies");
+        std::process::exit(1);
+    }
+    eprintln!("energy audit passed: every ledger charge reconciled bit-exactly");
 }
 
 /// Appends the four telemetry histograms of a [`wsn_net::obs::HistogramSet`] to a
@@ -1131,31 +1139,19 @@ fn main() {
     };
 
     if args.csv.is_some() || args.events.is_some() || args.capture.is_some() {
-        if let Err(e) = traced_run(&args, &cfg) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
+        match traced_run(&args, &cfg) {
+            Ok(discrepancies) if args.audit => audit_verdict(discrepancies),
+            Ok(_) => {}
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
         }
         return;
     }
 
     let kinds: Vec<AlgorithmKind> = if args.all {
-        vec![
-            AlgorithmKind::Tag,
-            AlgorithmKind::Pos,
-            AlgorithmKind::LcllH,
-            AlgorithmKind::LcllS,
-            AlgorithmKind::LcllR,
-            AlgorithmKind::Hbc,
-            AlgorithmKind::HbcNb,
-            AlgorithmKind::Iq,
-            AlgorithmKind::Adaptive,
-            AlgorithmKind::Gk,
-            AlgorithmKind::QDigest { eps_milli: 100 },
-            AlgorithmKind::GkSink {
-                eps_milli: 100,
-                capacity: 0,
-            },
-        ]
+        ALGORITHMS.to_vec()
     } else {
         vec![args.algorithm.expect("validated")]
     };
@@ -1285,10 +1281,6 @@ fn main() {
         );
     }
     if args.audit {
-        if discrepancies > 0 {
-            eprintln!("energy audit FAILED: {discrepancies} ledger discrepancies");
-            std::process::exit(1);
-        }
-        eprintln!("energy audit passed: every ledger charge reconciled bit-exactly");
+        audit_verdict(discrepancies);
     }
 }

@@ -5,34 +5,29 @@
 
 use wsn_bench::json::Json;
 use wsn_net::obs::{self, capture, HistKind};
-use wsn_net::{MessageSizes, Network, Point, RadioModel, RoutingTree, Topology};
+use wsn_net::Network;
 use wsn_sim::config::AlgorithmKind;
+use wsn_sim::runner::World;
 use wsn_sim::trace::trace_run;
+use wsn_sim::SimulationConfig;
 
-/// Builds a small connected world and runs IQ over it for `rounds` rounds
-/// with the audit log and span recorder on, returning the network for
-/// inspection.
+/// Runs IQ for `rounds` rounds on run 0 of a small world with the audit
+/// log and span recorder on, returning the network for inspection.
 fn telemetered_run(seed: u64, rounds: u32) -> Network {
-    use wsn_data::{Dataset, Rng};
-    let n = 60;
-    let mut rng = Rng::seed_from_u64(seed);
-    let raw = wsn_data::placement::uniform(n, 200.0, 200.0, &mut rng);
-    let positions: Vec<Point> = raw.iter().map(|&(x, y)| Point::new(x, y)).collect();
-    let topo = Topology::build(positions, 60.0);
-    let tree = RoutingTree::shortest_path_tree(&topo).expect("connected at this density");
-    let mut net = Network::new(topo, tree, RadioModel::default(), MessageSizes::default());
-    net.set_audit(true);
-    net.set_telemetry(true);
-    let mut ds = wsn_data::synthetic::SyntheticDataset::generate(
-        wsn_data::synthetic::SyntheticConfig::default(),
-        &raw[1..],
-        &mut rng,
-    );
-    let query = cqp_core::QueryConfig::median(n, ds.range_min(), ds.range_max());
-    let mut alg = AlgorithmKind::Iq.build(query, &MessageSizes::default());
-    let trace = trace_run(&mut net, alg.as_mut(), &mut ds, rounds, query.k);
+    let cfg = SimulationConfig {
+        sensor_count: 60,
+        radio_range: 60.0,
+        rounds,
+        seed,
+        audit: true,
+        telemetry: true,
+        ..SimulationConfig::default()
+    };
+    let mut world = World::new(&cfg, 0);
+    let mut alg = AlgorithmKind::Iq.build(world.query(), &cfg.sizes);
+    let trace = trace_run(&mut world, alg.as_mut(), rounds);
     assert_eq!(trace.len(), rounds as usize);
-    net
+    world.net
 }
 
 #[test]
@@ -207,4 +202,72 @@ fn histograms_reconcile_with_traffic_stats() {
         "one histogram sample per transmitted message"
     );
     assert_eq!(total.get(HistKind::MsgBits).sum(), net.stats().bits);
+}
+
+/// A traced run is run 0 with every world flag, and `--audit` audits it:
+/// on a churn + loss + ARQ world the real binary prints the audit line,
+/// passes, writes rebuild and ACK frames into the capture, and its CSV
+/// carries exactly the bits of the main path's one-run experiment.
+#[test]
+fn audit_covers_a_traced_dynamic_run_through_the_real_binary() {
+    let dir = scratch("traced-audit");
+    let world = [
+        "--algorithm",
+        "IQ",
+        "--nodes",
+        "40",
+        "--rho",
+        "80",
+        "--rounds",
+        "12",
+        "--runs",
+        "1",
+        "--seed",
+        "5",
+        "--churn",
+        "--loss",
+        "0.2",
+        "--retries",
+        "2",
+    ];
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .current_dir(&dir)
+        .args(world)
+        .args(["--audit", "--capture", "run.jsonl", "--csv", "run.csv"])
+        .output()
+        .expect("simulate binary must run");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    assert!(
+        stdout.contains(" events replayed, 0 discrepancies"),
+        "{stdout}"
+    );
+    assert!(stderr.contains("energy audit passed"), "{stderr}");
+
+    let frames = std::fs::read_to_string(dir.join("run.jsonl")).unwrap();
+    assert!(frames.contains(r#""phase":"rebuild""#), "churn rebuilds");
+    assert!(frames.contains(r#""kind":"ack""#), "ARQ acknowledges");
+
+    let csv = std::fs::read_to_string(dir.join("run.csv")).unwrap();
+    let traced_bits: f64 = csv
+        .lines()
+        .skip(1)
+        .map(|row| row.split(',').nth(5).unwrap().parse::<f64>().unwrap())
+        .sum();
+    let (code, _) = simulate(&dir, &[&world[..], &["--json", "m.json"]].concat());
+    assert_eq!(code, 0);
+    let doc = Json::parse(&std::fs::read_to_string(dir.join("m.json")).unwrap()).unwrap();
+    let Some(Json::Num(bits_per_round)) = doc.get("IQ").and_then(|m| m.get("bits_per_round"))
+    else {
+        panic!("bits_per_round missing");
+    };
+    assert!(
+        (traced_bits - bits_per_round * 12.0).abs() < 0.5,
+        "traced run is run 0: {traced_bits} vs {bits_per_round} x 12"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,6 +8,7 @@ use wsn_net::loss::LossModel;
 use wsn_net::{EnergyAuditor, FailureModel, Network, NodeId, Point, RoutingTree, Topology};
 
 use crate::config::{AlgorithmKind, DatasetSpec, SimulationConfig};
+use crate::dynamics::DynamicsState;
 use crate::metrics::{AggregatedMetrics, RunMetrics};
 use crate::Value;
 
@@ -18,10 +19,10 @@ pub const AREA: f64 = 200.0;
 pub const MAX_PLACEMENT_ATTEMPTS: u32 = 200;
 
 /// Builds dataset + connected topology + routing tree for one run,
-/// re-drawing disconnected placements. Public so out-of-crate harnesses
-/// (the `simulate` traced-run path, the `wsn-check` metamorphic battery)
-/// replay *exactly* the world the runner would build for a given
-/// `(config, rng)` instead of approximating it.
+/// re-drawing disconnected placements. [`World::new`] is its one caller
+/// in the workspace; it stays public so out-of-tree benchmarks can time
+/// the placement loop on exactly the world a run builds for a given
+/// `(config, rng)`.
 ///
 /// # Panics
 /// Panics when no connected placement is found within
@@ -90,8 +91,11 @@ pub fn build_world(
 }
 
 /// Absolute rank error of answer `v` against the true rank `k` (0 when `v`
-/// is a value of rank k, i.e. `l < k ≤ l + e`).
+/// is a value of rank k, i.e. `l < k ≤ l + e`, or `values` is empty).
 pub(crate) fn rank_error(values: &[Value], v: Value, k: u64) -> u64 {
+    if values.is_empty() {
+        return 0;
+    }
     // Single fused pass over the measurements (this runs once per
     // simulated round, on every round).
     let (mut l, mut e) = (0u64, 0u64);
@@ -106,6 +110,166 @@ pub(crate) fn rank_error(values: &[Value], v: Value, k: u64) -> u64 {
     } else {
         k - (l + e).max(1)
     }
+}
+
+/// One run's world: dataset, network (with its channel, failure and
+/// dynamics processes) and the per-round buffers. Every entry point of a
+/// run builds it here, so the same `(config, run index)` is the same run
+/// everywhere.
+pub struct World {
+    /// The run's measurement stream.
+    pub dataset: Box<dyn Dataset>,
+    /// The simulated network.
+    pub net: Network,
+    /// This round's measurements (sensor `i` = node `i + 1`), filled by
+    /// [`World::sample`].
+    pub values: Vec<Value>,
+    dynamics: Option<DynamicsState>,
+    phi: f64,
+    failures: bool,
+    /// Churn or mobility is on: the contributing population moves.
+    moving: bool,
+    /// Oracle scratch: the reachable sensors' measurements.
+    reachable: Vec<Value>,
+}
+
+impl World {
+    /// Seeds and assembles run `run_index` of `cfg`. The draw order is the
+    /// run's identity: `(seed, run index)` mixing, [`build_world`], the
+    /// loss seed, the failure seed (each only when its model is on), then
+    /// the dynamics fork. The audit log and span recorder follow `cfg`;
+    /// both are pure observers (no draws, no charges).
+    ///
+    /// # Panics
+    /// As [`build_world`], when no connected placement exists.
+    pub fn new(cfg: &SimulationConfig, run_index: u32) -> World {
+        let mut rng = Rng::seed_from_u64(
+            cfg.seed
+                ^ (run_index as u64)
+                    .wrapping_mul(0x9E3779B97F4A7C15)
+                    .wrapping_add(1),
+        );
+        let (dataset, topo, tree) = build_world(cfg, &mut rng);
+        let n = dataset.sensor_count();
+        assert_eq!(n + 1, topo.len(), "dataset and topology disagree");
+        let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
+        net.set_audit(cfg.audit);
+        net.set_telemetry(cfg.telemetry);
+        if let Some(p) = cfg.loss {
+            net.set_loss(Some(LossModel::new(p, rng.next_u64())));
+        }
+        net.set_reliability(cfg.reliability);
+        if let Some(pf) = cfg.node_failure {
+            net.set_failures(Some(FailureModel::new(pf, rng.next_u64())));
+        }
+        let dynamics = crate::dynamics::init(cfg.dynamics.as_ref(), cfg.loss, &mut net, &mut rng);
+        World {
+            dataset,
+            net,
+            values: vec![0 as Value; n],
+            dynamics,
+            phi: cfg.phi,
+            failures: cfg.node_failure.is_some(),
+            moving: cfg
+                .dynamics
+                .as_ref()
+                .is_some_and(|d| d.churn > 0.0 || d.mobility_step > 0.0),
+            reachable: Vec::new(),
+        }
+    }
+
+    /// The run's quantile fraction φ (`cfg.phi`).
+    pub fn phi(&self) -> f64 {
+        self.phi
+    }
+
+    /// Number of sensors (the sink excluded).
+    pub fn sensor_count(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The run's query: `cfg.phi` over the dataset's value range.
+    pub fn query(&self) -> QueryConfig {
+        self.query_at(self.phi)
+    }
+
+    /// The query for quantile `phi` over the dataset's value range.
+    pub fn query_at(&self, phi: f64) -> QueryConfig {
+        QueryConfig::phi(
+            phi,
+            self.sensor_count(),
+            self.dataset.range_min(),
+            self.dataset.range_max(),
+        )
+    }
+
+    /// Advances the world to round `t`, before its protocol round:
+    /// failures strike, then dynamics move. Returns `true` iff dynamics
+    /// rebuilt the routing tree (the caller then calls each protocol's
+    /// [`cqp_core::ContinuousQuantile::topology_changed`]).
+    pub fn step(&mut self, t: u32) -> bool {
+        self.net.fail_round();
+        self.dynamics
+            .as_mut()
+            .is_some_and(|d| d.apply(t, &mut self.net))
+    }
+
+    /// Fills [`World::values`] with the dataset's round `t`.
+    pub fn sample(&mut self, t: u32) {
+        self.dataset.sample_round(t, &mut self.values);
+    }
+
+    /// The oracle: the population this round's answers to quantile `phi`
+    /// are judged against, and its true rank `k` (0 for no population).
+    ///
+    /// - Node failures: the reachable sensors (dead and cut-off ones
+    ///   cannot contribute), with the ceil-based rank clamped to `1..=m`.
+    /// - Churn or mobility: the reachable sensors with the protocols' own
+    ///   floor-based `rank_of_phi`, so on a connected world exactness
+    ///   under rebuilds is asserted rather than excused.
+    /// - Otherwise all of [`World::values`] (borrowed) and the query's `k`.
+    pub fn oracle(&mut self, phi: f64) -> (&[Value], u64) {
+        if !self.failures && !self.moving {
+            let k = cqp_core::rank::rank_of_phi(phi, self.values.len());
+            return (&self.values, k);
+        }
+        self.reachable.clear();
+        let (net, values) = (&self.net, &self.values);
+        self.reachable.extend(
+            (1..=values.len())
+                .filter(|&i| net.is_reachable(NodeId(i as u32)))
+                .map(|i| values[i - 1]),
+        );
+        let m = self.reachable.len();
+        let k = match m {
+            0 => 0,
+            _ if self.failures => ((phi * m as f64).ceil() as u64).clamp(1, m as u64),
+            _ => cqp_core::rank::rank_of_phi(phi, m),
+        };
+        (&self.reachable, k)
+    }
+
+    /// Rank error of `answer` against this round's [`World::oracle`] for
+    /// quantile `phi`.
+    pub fn rank_error(&mut self, phi: f64, answer: Value) -> u64 {
+        let (population, k) = self.oracle(phi);
+        rank_error(population, answer, k)
+    }
+}
+
+/// Replays `net`'s transmissions through the [`EnergyAuditor`] when
+/// `on`: `(events replayed, discrepancies)`, `(0, 0)` otherwise.
+pub(crate) fn audit(net: &Network, on: bool) -> (u64, u32) {
+    if !on {
+        return (0, 0);
+    }
+    let report = EnergyAuditor::verify(net);
+    debug_assert!(
+        report.is_clean(),
+        "energy audit: {:?}",
+        report.discrepancies
+    );
+    (report.events, report.discrepancies.len() as u32)
 }
 
 /// A protocol factory: how ablation studies inject custom configurations
@@ -136,115 +300,28 @@ pub fn run_once_capture(
     builder: ProtocolBuilder<'_>,
     run_index: u32,
 ) -> (RunMetrics, Network) {
-    let mut rng = Rng::seed_from_u64(
-        cfg.seed
-            ^ (run_index as u64)
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(1),
-    );
-    let (mut dataset, topo, tree) = build_world(cfg, &mut rng);
-    let n = dataset.sensor_count();
-    assert_eq!(n + 1, topo.len(), "dataset and topology disagree");
-
-    let query = QueryConfig::phi(cfg.phi, n, dataset.range_min(), dataset.range_max());
-    let mut alg = builder(query, &cfg.sizes);
-    let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
-    // The audit log is a pure observer (no RNG draws, no charges), so
-    // enabling it cannot change any other metric; likewise the span
-    // recorder, which only reads the wall clock.
-    net.set_audit(cfg.audit);
-    net.set_telemetry(cfg.telemetry);
-    if let Some(p) = cfg.loss {
-        net.set_loss(Some(LossModel::new(p, rng.next_u64())));
-    }
-    net.set_reliability(cfg.reliability);
-    // Drawn only when failures are on, so reliable/lossy runs keep the
-    // exact RNG streams (and therefore results) they had without the
-    // failure extension.
-    if let Some(pf) = cfg.node_failure {
-        net.set_failures(Some(FailureModel::new(pf, rng.next_u64())));
-    }
-    // The dynamics stream forks last, after every gated legacy draw, and
-    // only for non-static configs — so legacy worlds replay their exact
-    // historical streams.
-    let mut dynamics = crate::dynamics::init(cfg.dynamics.as_ref(), cfg.loss, &mut net, &mut rng);
-    // Churn and mobility change which sensors can contribute, so the
-    // oracle must judge against the reachable population (like failures).
-    let moving_population = cfg
-        .dynamics
-        .as_ref()
-        .is_some_and(|d| d.churn > 0.0 || d.mobility_step > 0.0);
-
-    let mut values = vec![0 as Value; n];
-    let mut reachable = Vec::new();
+    let mut world = World::new(cfg, run_index);
+    let n = world.sensor_count();
+    let mut alg = builder(world.query(), &cfg.sizes);
     let mut exact_rounds = 0u32;
     let mut rank_error_sum = 0u64;
     let mut max_rank_error = 0u64;
     for t in 0..cfg.rounds {
-        net.fail_round();
-        if let Some(d) = dynamics.as_mut() {
-            if d.apply(t, &mut net) {
-                alg.topology_changed();
-            }
+        if world.step(t) {
+            alg.topology_changed();
         }
-        dataset.sample_round(t, &mut values);
-        let answer = alg.round(&mut net, &values);
-        // Under node failures the ground truth is what a clairvoyant
-        // observer of the *surviving, connected* network would report: dead
-        // and cut-off sensors cannot contribute to any answer.
-        let err = if cfg.node_failure.is_some() {
-            reachable.clear();
-            reachable.extend(
-                (1..=n)
-                    .filter(|&i| net.is_reachable(NodeId(i as u32)))
-                    .map(|i| values[i - 1]),
-            );
-            let m = reachable.len() as u64;
-            if m == 0 {
-                0
-            } else {
-                let k = (cfg.phi * m as f64).ceil() as u64;
-                rank_error(&reachable, answer, k.clamp(1, m))
-            }
-        } else if moving_population {
-            // Same clairvoyant-reachable oracle, but with the protocol's
-            // own rank convention (`rank_of_phi`, floor-based): on a
-            // connected mobile world the reachable set is all of `values`
-            // and `k` reduces exactly to `query.k`, so exactness under
-            // rebuilds is genuinely asserted rather than excused.
-            reachable.clear();
-            reachable.extend(
-                (1..=n)
-                    .filter(|&i| net.is_reachable(NodeId(i as u32)))
-                    .map(|i| values[i - 1]),
-            );
-            if reachable.is_empty() {
-                0
-            } else {
-                let k = cqp_core::rank::rank_of_phi(cfg.phi, reachable.len());
-                rank_error(&reachable, answer, k)
-            }
-        } else {
-            rank_error(&values, answer, query.k)
-        };
+        world.sample(t);
+        let answer = alg.round(&mut world.net, &world.values);
+        let err = world.rank_error(cfg.phi, answer);
         if err == 0 {
             exact_rounds += 1;
         }
         rank_error_sum += err;
         max_rank_error = max_rank_error.max(err);
     }
+    let net = world.net;
 
-    let (audit_events, audit_discrepancies) = if cfg.audit {
-        let report = EnergyAuditor::verify(&net);
-        debug_assert!(
-            report.is_clean(),
-            "energy audit failed: {:?}",
-            report.discrepancies
-        );
-        (report.events, report.discrepancies.len() as u32)
-    } else {
-        (0, 0)
-    };
+    let (audit_events, audit_discrepancies) = audit(&net, cfg.audit);
 
     let rounds = cfg.rounds.max(1) as f64;
     let ledger = net.ledger();
@@ -289,36 +366,15 @@ pub fn run_until_death(
     run_index: u32,
     max_rounds: u32,
 ) -> Option<u32> {
-    let mut rng = Rng::seed_from_u64(
-        cfg.seed
-            ^ (run_index as u64)
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(1),
-    );
-    let (mut dataset, topo, tree) = build_world(cfg, &mut rng);
-    let n = dataset.sensor_count();
-    let query = QueryConfig::phi(cfg.phi, n, dataset.range_min(), dataset.range_max());
-    let mut alg = kind.build(query, &cfg.sizes);
-    let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
-    if let Some(p) = cfg.loss {
-        net.set_loss(Some(LossModel::new(p, rng.next_u64())));
-    }
-    net.set_reliability(cfg.reliability);
-    if let Some(pf) = cfg.node_failure {
-        net.set_failures(Some(FailureModel::new(pf, rng.next_u64())));
-    }
-    let mut dynamics = crate::dynamics::init(cfg.dynamics.as_ref(), cfg.loss, &mut net, &mut rng);
-    let mut values = vec![0 as Value; n];
+    let mut world = World::new(cfg, run_index);
+    let mut alg = kind.build(world.query(), &cfg.sizes);
     for t in 0..max_rounds {
-        net.fail_round();
-        if let Some(d) = dynamics.as_mut() {
-            if d.apply(t, &mut net) {
-                alg.topology_changed();
-            }
+        if world.step(t) {
+            alg.topology_changed();
         }
-        dataset.sample_round(t % cfg.rounds.max(1), &mut values);
-        alg.round(&mut net, &values);
-        if net.ledger().max_sensor_consumption() > net.model().initial_energy {
+        world.sample(t % cfg.rounds.max(1));
+        alg.round(&mut world.net, &world.values);
+        if world.net.ledger().max_sensor_consumption() > world.net.model().initial_energy {
             return Some(t + 1);
         }
     }

@@ -23,18 +23,13 @@
 //! round with `finish_round`, giving one ledger snapshot and one
 //! shared-frame window per simulated round regardless of workload size.
 
-use cqp_core::protocol::QueryConfig;
 use cqp_core::service::{QuerySpec, Service};
 use cqp_core::ContinuousQuantile;
-use wsn_data::Rng;
-use wsn_net::loss::LossModel;
 use wsn_net::obs::{Monitor, MonitorConfig};
-use wsn_net::{
-    lane_breakdowns, EnergyAuditor, FailureModel, Network, NodeId, Phase, PhaseBreakdown,
-};
+use wsn_net::{lane_breakdowns, Network, Phase, PhaseBreakdown};
 
 use crate::config::{AlgorithmKind, ConfigError, SimulationConfig};
-use crate::runner::{build_world, rank_error};
+use crate::runner::{audit, World};
 use crate::Value;
 
 /// One continuous query of a serve workload.
@@ -280,8 +275,8 @@ fn delta_of(now: &PhaseBreakdown, base: &PhaseCounters_Baseline) -> PhaseBreakdo
 /// Runs a serve workload: `initial` queries admitted at round 0 (slots in
 /// order), `events` applied at the start of their rounds (in the order
 /// given), `shared` enabling frame packing across the round's waves.
-/// World construction, seeding and the per-run RNG stream are identical
-/// to [`crate::runner::run_once_capture`], so a single-query workload
+/// The world is [`World::new`]'s, as for
+/// [`crate::runner::run_once_capture`], so a single-query workload
 /// replays exactly the world of a solo run.
 pub fn serve(
     cfg: &SimulationConfig,
@@ -328,35 +323,10 @@ pub fn serve_monitored(
     run_index: u32,
     monitor_cfg: Option<&MonitorConfig>,
 ) -> (ServeReport, Option<Monitor>, Network) {
-    let mut rng = Rng::seed_from_u64(
-        cfg.seed
-            ^ (run_index as u64)
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(1),
-    );
-    let (mut dataset, topo, tree) = build_world(cfg, &mut rng);
-    let n = dataset.sensor_count();
-    let (range_min, range_max) = (dataset.range_min(), dataset.range_max());
-
-    let mut net = Network::new(topo, tree, cfg.radio, cfg.sizes);
-    net.set_audit(cfg.audit);
-    net.set_telemetry(cfg.telemetry);
-    if let Some(p) = cfg.loss {
-        net.set_loss(Some(LossModel::new(p, rng.next_u64())));
-    }
-    net.set_reliability(cfg.reliability);
-    if let Some(pf) = cfg.node_failure {
-        net.set_failures(Some(FailureModel::new(pf, rng.next_u64())));
-    }
-    // Forked after the gated legacy draws, exactly like the solo runner,
-    // so a single-query serve of a dynamic world replays its solo run.
-    let mut dynamics = crate::dynamics::init(cfg.dynamics.as_ref(), cfg.loss, &mut net, &mut rng);
-    let moving_population = cfg
-        .dynamics
-        .as_ref()
-        .is_some_and(|d| d.churn > 0.0 || d.mobility_step > 0.0);
-    net.set_shared_frames(shared);
-    net.set_round_hold(true);
+    let mut world = World::new(cfg, run_index);
+    let n = world.sensor_count();
+    world.net.set_shared_frames(shared);
+    world.net.set_round_hold(true);
 
     let mut svc = Service::new();
     let mut instances: Vec<Instance> = Vec::new();
@@ -371,14 +341,13 @@ pub fn serve_monitored(
                  slots: &mut Vec<Option<SlotState>>,
                  reports: &mut Vec<QueryReport>,
                  monitor: &mut Option<Monitor>,
-                 net: &Network| {
+                 world: &World| {
         let spec = spec_of(&q, round);
         let slot = svc.admit(spec);
         if !instances.iter().any(|i| i.spec == spec) {
-            let query = QueryConfig::phi(q.phi(), n, range_min, range_max);
             instances.push(Instance {
                 spec,
-                alg: q.algorithm.build(query, &cfg.sizes),
+                alg: q.algorithm.build(world.query_at(q.phi()), &cfg.sizes),
                 answer: None,
             });
         }
@@ -393,7 +362,7 @@ pub fn serve_monitored(
         slots[slot] = Some(SlotState {
             query: q,
             report_index: reports.len(),
-            baseline: baseline_of(&net.lane_book().get(slot as u32)),
+            baseline: baseline_of(&world.net.lane_book().get(slot as u32)),
         });
         if let Some(m) = monitor.as_mut() {
             m.register(
@@ -427,12 +396,10 @@ pub fn serve_monitored(
             &mut slots,
             &mut reports,
             &mut monitor,
-            &net,
+            &world,
         );
     }
 
-    let mut values = vec![0 as Value; n];
-    let mut reachable: Vec<Value> = Vec::new();
     let mut executions = 0u64;
     let mut served = 0u64;
 
@@ -448,13 +415,13 @@ pub fn serve_monitored(
                         &mut slots,
                         &mut reports,
                         &mut monitor,
-                        &net,
+                        &world,
                     );
                 }
                 ServeEvent::Retire { slot, .. } => {
                     let spec = svc.retire(slot as usize);
                     if let Some(state) = slots.get_mut(slot as usize).and_then(Option::take) {
-                        let now = net.lane_book().get(slot);
+                        let now = world.net.lane_book().get(slot);
                         reports[state.report_index].charges = delta_of(&now, &state.baseline);
                     }
                     if let Some(m) = monitor.as_mut() {
@@ -472,18 +439,15 @@ pub fn serve_monitored(
             }
         }
 
-        net.fail_round();
-        if let Some(d) = dynamics.as_mut() {
-            if d.apply(t, &mut net) {
-                for inst in instances.iter_mut() {
-                    inst.alg.topology_changed();
-                }
+        if world.step(t) {
+            for inst in instances.iter_mut() {
+                inst.alg.topology_changed();
             }
         }
-        dataset.sample_round(t, &mut values);
+        world.sample(t);
         // Any tree change — failure repair or dynamics rebuild — must
         // invalidate cached traffic plans.
-        let rel = net.reliability_stats();
+        let rel = world.net.reliability_stats();
         let plan = svc.plan(t, rel.repairs + rel.rebuilds);
 
         for inst in instances.iter_mut() {
@@ -491,12 +455,12 @@ pub fn serve_monitored(
         }
         for group in &plan.groups {
             let spec = *svc.get(group.leader).expect("planned slot is active");
-            net.set_lane(group.leader as u32);
+            world.net.set_lane(group.leader as u32);
             let inst = instances
                 .iter_mut()
                 .find(|i| i.spec == spec)
                 .expect("active spec has an instance");
-            let answer = inst.alg.round(&mut net, &values);
+            let answer = inst.alg.round(&mut world.net, &world.values);
             inst.answer = Some(answer);
             executions += 1;
 
@@ -507,39 +471,7 @@ pub fn serve_monitored(
                 };
                 let report = &mut reports[state.report_index];
                 report.answers.push((t, answer));
-                let err = if cfg.node_failure.is_some() {
-                    reachable.clear();
-                    reachable.extend(
-                        (1..=n)
-                            .filter(|&i| net.is_reachable(NodeId(i as u32)))
-                            .map(|i| values[i - 1]),
-                    );
-                    let m = reachable.len() as u64;
-                    if m == 0 {
-                        0
-                    } else {
-                        let k = (state.query.phi() * m as f64).ceil() as u64;
-                        rank_error(&reachable, answer, k.clamp(1, m))
-                    }
-                } else if moving_population {
-                    // Reachable-set oracle with the protocol's own floor
-                    // rank convention (see the solo runner).
-                    reachable.clear();
-                    reachable.extend(
-                        (1..=n)
-                            .filter(|&i| net.is_reachable(NodeId(i as u32)))
-                            .map(|i| values[i - 1]),
-                    );
-                    if reachable.is_empty() {
-                        0
-                    } else {
-                        let k = cqp_core::rank::rank_of_phi(state.query.phi(), reachable.len());
-                        rank_error(&reachable, answer, k)
-                    }
-                } else {
-                    let query = QueryConfig::phi(state.query.phi(), n, range_min, range_max);
-                    rank_error(&values, answer, query.k)
-                };
+                let err = world.rank_error(state.query.phi(), answer);
                 if err == 0 {
                     report.exact_rounds += 1;
                 }
@@ -550,7 +482,7 @@ pub fn serve_monitored(
                 }
             }
         }
-        net.finish_round();
+        world.net.finish_round();
 
         // Round boundary: feed the monitor each active lane's cumulative
         // charges since admission (the same delta the final report uses)
@@ -559,7 +491,7 @@ pub fn serve_monitored(
         if let Some(m) = monitor.as_mut() {
             for (slot, entry) in slots.iter().enumerate() {
                 if let Some(state) = entry {
-                    let delta = delta_of(&net.lane_book().get(slot as u32), &state.baseline);
+                    let delta = delta_of(&world.net.lane_book().get(slot as u32), &state.baseline);
                     m.observe_lane(
                         slot as u32,
                         delta.total_joules(),
@@ -572,6 +504,7 @@ pub fn serve_monitored(
         }
     }
 
+    let net = world.net;
     // Close out still-active queries' lane deltas.
     for (slot, entry) in slots.iter().enumerate() {
         if let Some(state) = entry {
@@ -580,13 +513,8 @@ pub fn serve_monitored(
         }
     }
 
-    let (audit_events, audit_discrepancies) = if cfg.audit {
-        let report = EnergyAuditor::verify(&net);
-        debug_assert!(
-            report.is_clean(),
-            "serve energy audit failed: {:?}",
-            report.discrepancies
-        );
+    let (audit_events, audit_discrepancies) = audit(&net, cfg.audit);
+    if cfg.audit {
         // The lane replay must reproduce the live lane book bit-for-bit.
         let live = net.lane_book();
         let replayed = lane_breakdowns(net.audit_log(), live.len());
@@ -598,10 +526,7 @@ pub fn serve_monitored(
                 "lane {lane} replay diverged from live attribution"
             );
         }
-        (report.events, report.discrepancies.len() as u32)
-    } else {
-        (0, 0)
-    };
+    }
 
     let stats = net.stats();
     // Cover every admitted slot, not just charged lanes — a follower that

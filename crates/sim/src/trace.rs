@@ -3,9 +3,9 @@
 //! Figure 4 — with CSV export.
 
 use cqp_core::ContinuousQuantile;
-use wsn_data::Dataset;
-use wsn_net::{Network, Phase};
+use wsn_net::Phase;
 
+use crate::runner::World;
 use crate::Value;
 
 /// One round of a traced run.
@@ -15,7 +15,9 @@ pub struct RoundRecord {
     pub round: u32,
     /// The answer the protocol produced.
     pub quantile: Value,
-    /// The oracle's k-th value (equal to `quantile` absent loss).
+    /// The oracle's k-th value of the population the round is judged
+    /// against ([`World::oracle`]; 0 when no sensor is reachable). Equal
+    /// to `quantile` whenever the round is exact.
     pub truth: Value,
     /// Messages transmitted in this round.
     pub messages: u64,
@@ -30,40 +32,48 @@ pub struct RoundRecord {
     /// Largest measurement this round.
     pub max: Value,
     /// Bits on air in this round per protocol phase, indexed by
-    /// [`Phase::index`] (init, validation, refinement, recovery, other).
+    /// [`Phase::index`] (init, validation, refinement, recovery, other,
+    /// rebuild); they sum to `bits`.
     pub phase_bits: [u64; Phase::COUNT],
 }
 
-/// Runs `alg` over `dataset` for `rounds` rounds on `net`, recording every
-/// round. The protocol keeps running even when its answer diverges from
-/// the oracle (loss experiments), so the trace shows the divergence.
+/// Runs `alg` on `world` for `rounds` rounds, recording every round. Each
+/// round is a runner round: [`World::step`] (failures, dynamics and any
+/// rebuild, whose traffic lands in this round), [`World::sample`], then
+/// the protocol. On `World::new(cfg, 0)` with `cfg.rounds` rounds this is
+/// exactly run 0 of the experiment. The protocol keeps running when its
+/// answer diverges from the oracle (loss experiments), so the trace shows
+/// the divergence.
 pub fn trace_run(
-    net: &mut Network,
+    world: &mut World,
     alg: &mut dyn ContinuousQuantile,
-    dataset: &mut dyn Dataset,
     rounds: u32,
-    k: u64,
 ) -> Vec<RoundRecord> {
-    let n = dataset.sensor_count();
-    let mut values = vec![0 as Value; n];
+    let phi = world.phi();
     let mut out = Vec::with_capacity(rounds as usize);
-    let mut prev_stats = *net.stats();
-    let mut prev_hotspot = net.ledger().max_sensor_consumption();
-    let mut prev_phase_bits = net.phases().bits();
+    let mut prev_stats = *world.net.stats();
+    let mut prev_hotspot = world.net.ledger().max_sensor_consumption();
+    let mut prev_phase_bits = world.net.phases().bits();
     for t in 0..rounds {
-        dataset.sample_round(t, &mut values);
-        let quantile = alg.round(net, &values);
-        let truth = cqp_core::rank::kth_smallest(&values, k);
+        if world.step(t) {
+            alg.topology_changed();
+        }
+        world.sample(t);
+        let quantile = alg.round(&mut world.net, &world.values);
+        let (min, max) = (
+            // A sensor-less network has no measurements; record a neutral
+            // 0 rather than panicking on a degenerate (but legal) world.
+            world.values.iter().min().copied().unwrap_or_default(),
+            world.values.iter().max().copied().unwrap_or_default(),
+        );
+        let truth = match world.oracle(phi) {
+            (population, k) if k > 0 => cqp_core::rank::kth_smallest(population, k),
+            _ => 0,
+        };
+        let net = &world.net;
         let stats = *net.stats();
         let hotspot = net.ledger().max_sensor_consumption();
         let phase_bits = net.phases().bits();
-        let mut delta = [0u64; Phase::COUNT];
-        for (d, (now, before)) in delta
-            .iter_mut()
-            .zip(phase_bits.iter().zip(prev_phase_bits.iter()))
-        {
-            *d = now - before;
-        }
         out.push(RoundRecord {
             round: t,
             quantile,
@@ -72,11 +82,9 @@ pub fn trace_run(
             values: stats.values - prev_stats.values,
             bits: stats.bits - prev_stats.bits,
             hotspot_energy: hotspot - prev_hotspot,
-            // A sensor-less network has no measurements; record a neutral 0
-            // rather than panicking on a degenerate (but legal) world.
-            min: values.iter().min().copied().unwrap_or_default(),
-            max: values.iter().max().copied().unwrap_or_default(),
-            phase_bits: delta,
+            min,
+            max,
+            phase_bits: std::array::from_fn(|i| phase_bits[i] - prev_phase_bits[i]),
         });
         prev_stats = stats;
         prev_hotspot = hotspot;
@@ -97,14 +105,17 @@ pub fn init_overhead(trace: &[RoundRecord]) -> Option<(u64, u64)> {
 }
 
 /// Renders a trace as CSV (with header), ready for external plotting.
+/// The per-phase columns follow [`Phase::ALL`], so `bits_rebuild` comes
+/// last and the older columns keep their positions.
 pub fn to_csv(trace: &[RoundRecord]) -> String {
-    let mut out = String::from(
-        "round,quantile,truth,messages,values,bits,hotspot_energy_j,min,max,\
-         bits_init,bits_validation,bits_refinement,bits_recovery,bits_other\n",
-    );
+    let mut out =
+        String::from("round,quantile,truth,messages,values,bits,hotspot_energy_j,min,max");
+    for phase in Phase::ALL {
+        out += &format!(",bits_{}", phase.name());
+    }
     for r in trace {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{:.9e},{},{},{},{},{},{},{}\n",
+        out += &format!(
+            "\n{},{},{},{},{},{},{:.9e},{},{}",
             r.round,
             r.quantile,
             r.truth,
@@ -114,61 +125,54 @@ pub fn to_csv(trace: &[RoundRecord]) -> String {
             r.hotspot_energy,
             r.min,
             r.max,
-            r.phase_bits[0],
-            r.phase_bits[1],
-            r.phase_bits[2],
-            r.phase_bits[3],
-            r.phase_bits[4]
-        ));
+        );
+        for bits in r.phase_bits {
+            out += &format!(",{bits}");
+        }
     }
+    out.push('\n');
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimulationConfig;
     use cqp_core::iq::IqConfig;
-    use cqp_core::{Iq, QueryConfig};
-    use wsn_data::synthetic::{SyntheticConfig, SyntheticDataset};
-    use wsn_data::Rng;
-    use wsn_net::{MessageSizes, Point, RadioModel, RoutingTree, Topology};
+    use cqp_core::Iq;
 
-    fn world(n: usize) -> (Network, SyntheticDataset) {
-        let mut rng = Rng::seed_from_u64(7);
-        let raw = wsn_data::placement::uniform(n, 200.0, 200.0, &mut rng);
-        let positions: Vec<Point> = raw.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let topo = Topology::build(positions, 40.0);
-        let tree = RoutingTree::shortest_path_tree(&topo).unwrap();
-        let net = Network::new(topo, tree, RadioModel::default(), MessageSizes::default());
-        let ds = SyntheticDataset::generate(SyntheticConfig::default(), &raw[1..], &mut rng);
-        (net, ds)
+    /// Run 0 of a static 80-sensor synthetic world, with IQ on its median.
+    fn iq_world() -> (World, Iq) {
+        let cfg = SimulationConfig {
+            sensor_count: 80,
+            radio_range: 40.0,
+            seed: 7,
+            ..SimulationConfig::default()
+        };
+        let world = World::new(&cfg, 0);
+        let iq = Iq::new(world.query(), IqConfig::default());
+        (world, iq)
     }
 
     #[test]
     fn trace_matches_oracle_and_sums_to_totals() {
-        let n = 80;
-        let (mut net, mut ds) = world(n);
-        let query = QueryConfig::median(n, ds.range_min(), ds.range_max());
-        let mut iq = Iq::new(query, IqConfig::default());
-        let trace = trace_run(&mut net, &mut iq, &mut ds, 30, query.k);
+        let (mut world, mut iq) = iq_world();
+        let trace = trace_run(&mut world, &mut iq, 30);
         assert_eq!(trace.len(), 30);
         for r in &trace {
             assert_eq!(r.quantile, r.truth, "round {}", r.round);
             assert!(r.min <= r.quantile && r.quantile <= r.max);
         }
         let sum_msgs: u64 = trace.iter().map(|r| r.messages).sum();
-        assert_eq!(sum_msgs, net.stats().messages);
+        assert_eq!(sum_msgs, world.net.stats().messages);
         let sum_bits: u64 = trace.iter().map(|r| r.bits).sum();
-        assert_eq!(sum_bits, net.stats().bits);
+        assert_eq!(sum_bits, world.net.stats().bits);
     }
 
     #[test]
     fn init_round_is_the_expensive_one() {
-        let n = 80;
-        let (mut net, mut ds) = world(n);
-        let query = QueryConfig::median(n, ds.range_min(), ds.range_max());
-        let mut iq = Iq::new(query, IqConfig::default());
-        let trace = trace_run(&mut net, &mut iq, &mut ds, 20, query.k);
+        let (mut world, mut iq) = iq_world();
+        let trace = trace_run(&mut world, &mut iq, 20);
         let (init_bits, later_max) = init_overhead(&trace).expect("20-round trace");
         assert!(
             init_bits > later_max,
@@ -178,27 +182,22 @@ mod tests {
 
     #[test]
     fn degenerate_traces_are_guarded_not_panicking() {
-        let n = 80;
         // 0-round and 1-round traces run without panicking, and the
         // init-overhead comparison declines rather than indexing past the
         // end.
-        let (mut net, mut ds) = world(n);
-        let query = QueryConfig::median(n, ds.range_min(), ds.range_max());
-        let mut iq = Iq::new(query, IqConfig::default());
-        let empty = trace_run(&mut net, &mut iq, &mut ds, 0, query.k);
+        let (mut world, mut iq) = iq_world();
+        let empty = trace_run(&mut world, &mut iq, 0);
         assert!(empty.is_empty());
         assert_eq!(init_overhead(&empty), None);
         assert_eq!(to_csv(&empty).lines().count(), 1, "header only");
 
-        let (mut net, mut ds) = world(n);
-        let mut iq = Iq::new(query, IqConfig::default());
-        let one = trace_run(&mut net, &mut iq, &mut ds, 1, query.k);
+        let (mut world, mut iq) = iq_world();
+        let one = trace_run(&mut world, &mut iq, 1);
         assert_eq!(one.len(), 1);
         assert_eq!(init_overhead(&one), None, "no later rounds to compare");
 
-        let (mut net, mut ds) = world(n);
-        let mut iq = Iq::new(query, IqConfig::default());
-        let two = trace_run(&mut net, &mut iq, &mut ds, 2, query.k);
+        let (mut world, mut iq) = iq_world();
+        let two = trace_run(&mut world, &mut iq, 2);
         let (init_bits, later) = init_overhead(&two).expect("two rounds suffice");
         assert_eq!(init_bits, two[0].bits);
         assert_eq!(later, two[1].bits);
@@ -206,11 +205,8 @@ mod tests {
 
     #[test]
     fn phase_bits_partition_the_round_bits() {
-        let n = 80;
-        let (mut net, mut ds) = world(n);
-        let query = QueryConfig::median(n, ds.range_min(), ds.range_max());
-        let mut iq = Iq::new(query, IqConfig::default());
-        let trace = trace_run(&mut net, &mut iq, &mut ds, 15, query.k);
+        let (mut world, mut iq) = iq_world();
+        let trace = trace_run(&mut world, &mut iq, 15);
         for r in &trace {
             assert_eq!(
                 r.phase_bits.iter().sum::<u64>(),
@@ -228,15 +224,56 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_one_line_per_round() {
-        let n = 80;
-        let (mut net, mut ds) = world(n);
-        let query = QueryConfig::median(n, ds.range_min(), ds.range_max());
-        let mut iq = Iq::new(query, IqConfig::default());
-        let trace = trace_run(&mut net, &mut iq, &mut ds, 10, query.k);
+        let (mut world, mut iq) = iq_world();
+        let trace = trace_run(&mut world, &mut iq, 10);
         let csv = to_csv(&trace);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 11);
         assert!(lines[0].starts_with("round,quantile,truth"));
         assert!(lines[1].starts_with("0,"));
+    }
+
+    #[test]
+    fn csv_phase_columns_sum_to_bits_under_churn() {
+        let cfg = SimulationConfig {
+            sensor_count: 60,
+            radio_range: 50.0,
+            rounds: 20,
+            seed: 17,
+            dynamics: Some(crate::DynamicsConfig {
+                churn: 0.05,
+                ..crate::DynamicsConfig::default()
+            }),
+            ..SimulationConfig::default()
+        };
+        let mut world = World::new(&cfg, 0);
+        let mut iq = Iq::new(world.query(), IqConfig::default());
+        let csv = to_csv(&trace_run(&mut world, &mut iq, cfg.rounds));
+        let mut lines = csv.lines();
+        let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+        assert_eq!(
+            header.last(),
+            Some(&"bits_rebuild"),
+            "rebuild is appended last"
+        );
+        let bits = header
+            .iter()
+            .position(|&c| c == "bits")
+            .expect("bits column");
+        let phases: Vec<usize> = (0..header.len())
+            .filter(|&i| header[i].starts_with("bits_"))
+            .collect();
+        assert_eq!(phases.len(), Phase::COUNT);
+        let mut rebuild_bits = 0u64;
+        for row in lines {
+            let cells: Vec<u64> = row
+                .split(',')
+                .map(|c| c.parse().unwrap_or_default())
+                .collect();
+            let by_phase: u64 = phases.iter().map(|&i| cells[i]).sum();
+            assert_eq!(by_phase, cells[bits], "row {row}");
+            rebuild_bits += cells[header.len() - 1];
+        }
+        assert!(rebuild_bits > 0, "5% churn over 20 rounds must rebuild");
     }
 }

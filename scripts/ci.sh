@@ -59,7 +59,8 @@ fi
 echo "==> dynamic-world smoke (200 fresh scenarios drawn over the mobility/"
 echo "    churn/drift/duty classes, plus mobile and churn-only duty-cycled"
 echo "    audit runs: must reconcile bit-exactly and replay byte-identically;"
-echo "    churn-only rounds re-derive only the disk-graph rows that moved)"
+echo "    churn-only rounds re-derive only the disk-graph rows that moved;"
+echo "    traced captures carry every world flag and pass --audit)"
 ./target/release/simulate fuzz --scenarios 200 --seed 555
 ./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
     --mobility --churn --duty --seed 17 --audit
@@ -76,6 +77,19 @@ done
     | grep -q '^identical'
 ./target/release/simulate diff "$tmp/churn-a.jsonl" "$tmp/churn-b.jsonl" \
     | grep -q '^identical'
+# A traced run is run 0 with every world flag: the captures must carry the
+# rebuild beacons, duty-cycle idle listening and (under ARQ) ACK frames.
+for frame in '"phase":"rebuild"' '"kind":"idle"' '"kind":"ack"'; do
+    grep -q "$frame" "$tmp/dyn-a.jsonl"
+done
+for frame in '"phase":"rebuild"' '"kind":"idle"'; do
+    grep -q "$frame" "$tmp/churn-a.jsonl"
+done
+# --audit audits a traced run too (exit 1 on any discrepancy).
+./target/release/simulate --algorithm IQ --nodes 60 --rounds 20 --runs 2 \
+    --churn --loss 0.2 --retries 2 --seed 17 --audit \
+    --capture "$tmp/audited.jsonl" 2> "$tmp/audited.err"
+grep -q '^energy audit passed' "$tmp/audited.err"
 
 echo "==> serve smoke (16-query continuous service + mid-run admit/retire:"
 echo "    audit must reconcile, digests byte-identical across two runs)"

@@ -139,8 +139,8 @@ fn adversarial_sequence_direct_drive() {
     }
 }
 
-/// Random fuzz across seeds, kept small enough for CI; the proptest suites
-/// in each crate go deeper.
+/// Random fuzz across seeds, kept small enough for CI; the seeded property
+/// suites in each crate (`crates/*/tests/properties.rs`) go deeper.
 #[test]
 fn randomized_fuzz_direct_drive() {
     let n = 25usize;
